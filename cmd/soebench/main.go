@@ -1,10 +1,10 @@
-// soebench runs the standing benchmark suite under all three execution
-// engines (event-wheel, idle fast-forward, and the cycle-by-cycle
-// reference), taking the median of -iters runs per cell, writes a
-// BENCH_<n>.json report, and optionally gates on a committed baseline:
-// the per-scenario engine speedup ratios must not regress by more than
-// -tolerance. -baseline accepts either a report file or a directory,
-// which resolves to its newest BENCH_<n>.json.
+// soebench runs the standing benchmark suite under both execution
+// engines (idle fast-forward and the cycle-by-cycle reference), taking
+// the median of -iters runs per cell, writes a BENCH_<n>.json report,
+// and optionally gates on a committed baseline: each baseline
+// scenario's fast-forward speedup must be present and must not regress
+// by more than -tolerance. -baseline accepts either a report file or a
+// directory, which resolves to its newest BENCH_<n>.json.
 //
 //	soebench -scale quick -out .              # measure, write BENCH_<n>.json
 //	soebench -scale tiny -baseline .          # CI smoke gate vs newest committed report

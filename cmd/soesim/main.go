@@ -191,7 +191,10 @@ func main() {
 
 	spec := sim.Spec{
 		Machine: machine, Threads: specs, Scale: scale,
-		Watchdog: watchdog, CycleByCycle: *cycleRef,
+		Watchdog: watchdog, Engine: "fast-forward",
+	}
+	if *cycleRef {
+		spec.Engine = "cycle-by-cycle"
 	}
 	if tracing {
 		spec.Obs = &obs.Observer{Trace: tracer, Metrics: cache.Observability()}
@@ -216,12 +219,8 @@ func main() {
 		return r.WallCycles, instrs, nil
 	}
 	if *benchDir != "" {
-		engine := "fast-forward"
-		if *cycleRef {
-			engine = "cycle-by-cycle"
-		}
 		report := perf.NewReport(*scaleArg)
-		entry, err := perf.Measure(*threadsArg, engine, run)
+		entry, err := perf.Measure(*threadsArg, spec.Engine, run)
 		if err != nil {
 			exitErr(err)
 		}

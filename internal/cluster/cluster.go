@@ -307,6 +307,11 @@ func retryAfterFrom(resp *http.Response) time.Duration {
 //
 // body may be nil; a non-nil body is re-readable by construction
 // (bytes, not a stream) so callers can resend it to another node.
+//
+// When ctx has no deadline, RequestTimeout bounds the whole exchange,
+// including the caller's read of resp.Body: the timeout is released
+// when the body is closed, not when RoundTrip returns, so a body read
+// after return is neither cut short nor its connection dropped.
 func (c *Cluster) RoundTrip(ctx context.Context, nodeURL, method, path string, body []byte, hdr http.Header) (*http.Response, error) {
 	n := c.node(nodeURL)
 	if n == nil {
@@ -316,10 +321,9 @@ func (c *Cluster) RoundTrip(ctx context.Context, nodeURL, method, path string, b
 		_, rem := n.breaker.State()
 		return nil, &ErrBreakerOpen{Node: nodeURL, RetryAfter: rem}
 	}
+	cancel := context.CancelFunc(func() {})
 	if _, ok := ctx.Deadline(); !ok {
-		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.cfg.RequestTimeout)
-		defer cancel()
 	}
 	var rd io.Reader
 	if body != nil {
@@ -327,23 +331,38 @@ func (c *Cluster) RoundTrip(ctx context.Context, nodeURL, method, path string, b
 	}
 	req, err := http.NewRequestWithContext(ctx, method, nodeURL+path, rd)
 	if err != nil {
+		cancel()
 		return nil, err
 	}
 	for k, vs := range hdr {
 		req.Header[k] = vs
 	}
 	resp, err := c.client.Do(req)
-	switch {
-	case err != nil:
+	if err != nil {
+		cancel()
 		c.noteFailure(n, 0, err.Error())
 		return nil, err
-	case resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests:
-		c.noteFailure(n, retryAfterFrom(resp), resp.Status)
-		return resp, nil
-	default:
-		n.breaker.Success()
-		return resp, nil
 	}
+	resp.Body = &cancelOnClose{ReadCloser: resp.Body, cancel: cancel}
+	if resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests {
+		c.noteFailure(n, retryAfterFrom(resp), resp.Status)
+	} else {
+		n.breaker.Success()
+	}
+	return resp, nil
+}
+
+// cancelOnClose releases a response's request context when its body
+// is closed.
+type cancelOnClose struct {
+	io.ReadCloser
+	cancel context.CancelFunc
+}
+
+func (b *cancelOnClose) Close() error {
+	err := b.ReadCloser.Close()
+	b.cancel()
+	return err
 }
 
 func (c *Cluster) noteFailure(n *node, retryAfter time.Duration, cause string) {

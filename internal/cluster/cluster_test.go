@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -224,5 +226,43 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 	}
 	if _, err := New(Config{Self: "http://me", Nodes: []string{"http://other"}}); err == nil {
 		t.Fatal("self outside the node list accepted")
+	}
+}
+
+// A response body the caller reads after RoundTrip returns must arrive
+// whole when the caller's ctx has no deadline, and reading it to the
+// end must leave the connection reusable: RoundTrip's own timeout
+// lives until the body is closed.
+func TestRoundTripBodyOutlivesReturn(t *testing.T) {
+	payload := bytes.Repeat([]byte("0123456789abcdef"), 1<<16) // 1 MiB
+	var conns atomic.Int32
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write(payload)
+	}))
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+
+	c := testCluster(t, Config{Nodes: []string{ts.URL}})
+	for i := 0; i < 2; i++ {
+		resp, err := c.RoundTrip(context.Background(), ts.URL, "GET", "/big", nil, nil)
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("request %d: body read failed after %d of %d bytes: %v", i, len(got), len(payload), err)
+		}
+		if !bytes.Equal(got, payload) {
+			t.Fatalf("request %d: body has %d bytes, want the %d-byte payload", i, len(got), len(payload))
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("two sequential requests opened %d connections, want 1 (keep-alive)", n)
 	}
 }

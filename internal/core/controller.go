@@ -379,35 +379,20 @@ func (c *Controller) pickNext() int {
 }
 
 // Engine selects how Advance crosses provably idle cycle stretches.
-// All engines produce bit-identical results — the equivalence matrix
+// Both engines produce bit-identical results — the equivalence matrix
 // in internal/sim enforces this — they differ only in cost:
 //
-//   - EngineCycleByCycle is the reference: every cycle is a real Step.
+//   - EngineReference is the cycle-by-cycle reference: every cycle is
+//     a real Step.
 //   - EngineFastForward certifies idleness with IdleScan, which
-//     recomputes the next-event horizon from scratch at every resume
-//     point.
-//   - EngineEventWheel certifies with WheelScan, which owns the horizon
-//     in a persistent per-stage event heap (DESIGN.md §16) and is the
-//     default production engine.
+//     computes the next-event horizon at every resume point, and jumps
+//     to it (DESIGN.md §9). It is the production engine.
 type Engine uint8
 
 const (
-	EngineCycleByCycle Engine = iota
+	EngineReference Engine = iota
 	EngineFastForward
-	EngineEventWheel
 )
-
-// String returns the spec-level engine name.
-func (e Engine) String() string {
-	switch e {
-	case EngineFastForward:
-		return "fast-forward"
-	case EngineEventWheel:
-		return "event-wheel"
-	default:
-		return "cycle-by-cycle"
-	}
-}
 
 // SetEngine selects the idle-stretch engine used by Advance. Stretches
 // where the pipeline provably cannot make progress are jumped in bulk
@@ -417,26 +402,8 @@ func (e Engine) String() string {
 // edges, the max-cycles quota edge, the head-miss switch trigger,
 // slice budgets and the MaxCycles cap) and the per-cycle counter
 // updates are applied in bulk (see skipIdle). Defaults to
-// EngineCycleByCycle; sim.RunContext selects per Spec.Engine.
+// EngineReference; sim.RunContext selects per Spec.Engine.
 func (c *Controller) SetEngine(e Engine) { c.engine = e }
-
-// Engine returns the selected idle-stretch engine.
-func (c *Controller) Engine() Engine { return c.engine }
-
-// SetFastForward enables (or disables) idle-stretch skipping,
-// retained for call sites predating SetEngine: on selects
-// EngineFastForward, off the cycle-by-cycle reference.
-func (c *Controller) SetFastForward(on bool) {
-	if on {
-		c.engine = EngineFastForward
-	} else {
-		c.engine = EngineCycleByCycle
-	}
-}
-
-// FastForward reports whether idle-stretch skipping is enabled under
-// any engine.
-func (c *Controller) FastForward() bool { return c.engine != EngineCycleByCycle }
 
 // MeasuredMissLat returns the mean observed head-stall latency, or the
 // configured constant when measurement is off or empty.
@@ -515,7 +482,7 @@ func (c *Controller) Advance(target, maxCycles, start, budget uint64) bool {
 		if spent >= budget {
 			return false
 		}
-		if c.engine != EngineCycleByCycle {
+		if c.engine == EngineFastForward {
 			// Clip the jump to the slice budget and the MaxCycles cap so
 			// slice boundaries and truncation points match the
 			// cycle-by-cycle engine exactly.
@@ -542,7 +509,6 @@ func (c *Controller) Advance(target, maxCycles, start, budget uint64) bool {
 // returns the number of cycles skipped; 0 means the coming cycle may
 // do real work (or trigger a sample or switch) and the caller must
 // Step normally.
-
 func (c *Controller) skipIdle(limit uint64) uint64 {
 	cur := c.threads[c.cur]
 	// With no other dispatch-eligible thread (single-thread run, or a
@@ -564,16 +530,7 @@ func (c *Controller) skipIdle(limit uint64) uint64 {
 		return 0
 	}
 
-	var (
-		end  uint64
-		rep  pipeline.IdleReport
-		idle bool
-	)
-	if c.engine == EngineEventWheel {
-		end, rep, idle = c.pipe.WheelScan(c.now)
-	} else {
-		end, rep, idle = c.pipe.IdleScan(c.now)
-	}
+	end, rep, idle := c.pipe.IdleScan(c.now)
 	if !idle {
 		return 0
 	}

@@ -38,7 +38,7 @@ func TestFastForwardLockstep(t *testing.T) {
 				return mustController(pipe, testConfig(Fairness{F: 1}), threads)
 			}
 			ff := mk()
-			ff.SetFastForward(true)
+			ff.SetEngine(EngineFastForward)
 			ref := mk()
 			const total = 400_000
 			for ff.now < total {
@@ -62,7 +62,7 @@ func TestFastForwardActuallySkips(t *testing.T) {
 	pipe := newMachine()
 	th := newThread(victimProfile(), 0)
 	c := mustController(pipe, testConfig(EventOnly{}), []*Thread{th})
-	c.SetFastForward(true)
+	c.SetEngine(EngineFastForward)
 	var skipped uint64
 	for c.now < 200_000 {
 		if n := c.skipIdle(c.now + 100_000); n > 0 {

@@ -153,7 +153,7 @@ func TestFastForwardLockstepTimeShare(t *testing.T) {
 				return mustController(pipe, testConfig(TimeShare{QuotaCycles: 5_000}), threads)
 			}
 			ff := mk()
-			ff.SetFastForward(true)
+			ff.SetEngine(EngineFastForward)
 			ref := mk()
 			const total = 400_000
 			for ff.now < total {

@@ -418,7 +418,7 @@ func TestZooFastForwardLockstep(t *testing.T) {
 				return mustController(pipe, testConfig(tc.policy), threads)
 			}
 			ff := mk()
-			ff.SetFastForward(true)
+			ff.SetEngine(EngineFastForward)
 			ref := mk()
 			const total = 300_000
 			for _, slice := range []uint64{977, 1 << 62} {

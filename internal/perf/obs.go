@@ -16,8 +16,8 @@ const obsScenarioName = "obs-overhead-gcc-eon"
 
 // ObsOverheadSpec returns the spec the observability-overhead
 // measurement runs: the gcc:eon pair under full F=1 enforcement on the
-// production (default event-wheel) engine. The pair switches, samples and
-// recomputes quotas constantly, so it exercises every event site the
+// production (default fast-forward) engine. The pair switches, samples
+// and recomputes quotas constantly, so it exercises every event site the
 // tracer and registry hook; a miss-bound pair would instead spend its
 // time inside skipIdle where observability costs nothing.
 func ObsOverheadSpec(scale sim.Scale) sim.Spec {

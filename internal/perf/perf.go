@@ -150,14 +150,12 @@ func MeasureN(scenario, engine string, iters int, fn func() (cycles, instrs uint
 	return entries[len(entries)/2], nil
 }
 
-// Add appends an entry and refreshes the scenario's speedups against
-// the cycle-by-cycle reference as engine pairs complete: the
-// fast-forward ratio keeps its historical bare-scenario key, the
-// event-wheel ratio goes under "<scenario>@event-wheel". Old baselines
-// without wheel keys stay comparable — Compare walks baseline keys.
+// Add appends an entry and, once the scenario has both a fast-forward
+// and a cycle-by-cycle entry, records the fast-forward speedup under
+// the scenario's name.
 func (r *Report) Add(e Entry) {
 	r.Entries = append(r.Entries, e)
-	var ff, wheel, ref *Entry
+	var ff, ref *Entry
 	for i := range r.Entries {
 		en := &r.Entries[i]
 		if en.Scenario != e.Scenario {
@@ -166,24 +164,17 @@ func (r *Report) Add(e Entry) {
 		switch en.Engine {
 		case "fast-forward":
 			ff = en
-		case "event-wheel":
-			wheel = en
 		case "cycle-by-cycle":
 			ref = en
 		}
 	}
-	if ref == nil {
+	if ref == nil || ff == nil || ff.Seconds <= 0 {
 		return
 	}
 	if r.Speedups == nil {
 		r.Speedups = map[string]float64{}
 	}
-	if ff != nil && ff.Seconds > 0 {
-		r.Speedups[e.Scenario] = ref.Seconds / ff.Seconds
-	}
-	if wheel != nil && wheel.Seconds > 0 {
-		r.Speedups[e.Scenario+"@event-wheel"] = ref.Seconds / wheel.Seconds
-	}
+	r.Speedups[e.Scenario] = ref.Seconds / ff.Seconds
 }
 
 // WriteNumbered writes the report to the first free BENCH_<n>.json in
@@ -257,11 +248,13 @@ func Load(path string) (*Report, error) {
 }
 
 // Compare checks current against a committed baseline and returns an
-// error describing every scenario whose engine speedup (fast-forward
-// or event-wheel, whatever keys the baseline carries) regressed by
-// more than tolerance (e.g. 0.20 = 20%). Scenarios present in only
-// one report are ignored (suites may grow), but an empty intersection
-// is an error — it means the comparison checked nothing.
+// error describing every scenario whose fast-forward speedup regressed
+// by more than tolerance (e.g. 0.20 = 20%), and every baseline
+// scenario the current report lacks: a scenario dropped from the suite
+// must never pass the gate silently, so retiring one takes a new
+// baseline without it. Scenarios only the current report has are
+// ignored (suites may grow), but an empty intersection is an error —
+// it means the comparison checked nothing.
 func Compare(current, baseline *Report, tolerance float64) error {
 	var problems []string
 	checked := 0
@@ -272,8 +265,13 @@ func Compare(current, baseline *Report, tolerance float64) error {
 	sort.Strings(names)
 	for _, name := range names {
 		base := baseline.Speedups[name]
+		if base <= 0 {
+			continue
+		}
 		cur, ok := current.Speedups[name]
-		if !ok || base <= 0 {
+		if !ok {
+			problems = append(problems, fmt.Sprintf(
+				"%s: in the baseline but missing from the current report", name))
 			continue
 		}
 		checked++
@@ -287,7 +285,7 @@ func Compare(current, baseline *Report, tolerance float64) error {
 		return fmt.Errorf("perf: no common scenarios between current report and baseline")
 	}
 	if len(problems) > 0 {
-		return fmt.Errorf("perf: speedup regression beyond %.0f%%:\n  %s",
+		return fmt.Errorf("perf: speedup gate failed (tolerance %.0f%%):\n  %s",
 			tolerance*100, joinLines(problems))
 	}
 	return nil

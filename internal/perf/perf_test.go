@@ -144,14 +144,6 @@ func TestSpeedupDerivation(t *testing.T) {
 	if got := r.Speedups["pair"]; got != 3.0 {
 		t.Fatalf("speedup = %v, want 3.0", got)
 	}
-	addRun(t, r, "pair", "event-wheel", 0.5)
-	if got := r.Speedups["pair@event-wheel"]; got != 6.0 {
-		t.Fatalf("event-wheel speedup = %v, want 6.0", got)
-	}
-	// The legacy key must be untouched by the wheel entry.
-	if got := r.Speedups["pair"]; got != 3.0 {
-		t.Fatalf("fast-forward speedup disturbed: %v, want 3.0", got)
-	}
 }
 
 func TestWriteNumberedAndLoadRoundTrip(t *testing.T) {
@@ -213,5 +205,27 @@ func TestCompare(t *testing.T) {
 	addRun(t, other, "elsewhere", "fast-forward", 1.0)
 	if err := Compare(other, base, 0.20); err == nil {
 		t.Fatal("empty scenario intersection passed the gate")
+	}
+}
+
+// A baseline scenario the current report no longer carries fails the
+// gate even when every scenario both reports share is within
+// tolerance: deleting a scenario must not pass silently.
+func TestCompareFailsOnMissingBaselineScenario(t *testing.T) {
+	base := NewReport("tiny")
+	addRun(t, base, "pair", "cycle-by-cycle", 4.0)
+	addRun(t, base, "pair", "fast-forward", 1.0)
+	addRun(t, base, "gone", "cycle-by-cycle", 2.0)
+	addRun(t, base, "gone", "fast-forward", 1.0)
+
+	cur := NewReport("tiny")
+	addRun(t, cur, "pair", "cycle-by-cycle", 4.0)
+	addRun(t, cur, "pair", "fast-forward", 1.0)
+	err := Compare(cur, base, 0.20)
+	if err == nil || !strings.Contains(err.Error(), "gone") {
+		t.Fatalf("missing baseline scenario not reported: %v", err)
+	}
+	if strings.Contains(err.Error(), "pair") {
+		t.Fatalf("within-tolerance scenario reported: %v", err)
 	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // Scenario is one benchmarkable simulation spec. The suite runs each
-// scenario under every engine: Spec.Engine is overridden per run.
+// scenario under both engines: Spec.Engine is overridden per run.
 type Scenario struct {
 	Name string
 	Spec sim.Spec
@@ -20,7 +20,7 @@ type Scenario struct {
 // Engines lists the execution engines the suite benchmarks, reference
 // first. The names are sim.Spec.Engine values and appear verbatim in
 // report entries.
-var Engines = []string{"cycle-by-cycle", "fast-forward", "event-wheel"}
+var Engines = []string{"cycle-by-cycle", "fast-forward"}
 
 // DefaultSuite returns the standing benchmark scenarios at the given
 // scale. The mix is deliberate: miss-heavy workloads are where the
@@ -70,7 +70,7 @@ func DefaultSuite(scale sim.Scale) []Scenario {
 	}
 }
 
-// RunSuite benchmarks every scenario under every engine, appending the
+// RunSuite benchmarks every scenario under both engines, appending the
 // median-of-iters entries (and derived speedups) to the report.
 // progress, if non-nil, receives a line per completed measurement.
 func RunSuite(ctx context.Context, r *Report, scenarios []Scenario, iters int, progress func(string)) error {
@@ -105,8 +105,7 @@ func RunSuite(ctx context.Context, r *Report, scenarios []Scenario, iters int, p
 			}
 		}
 		if progress != nil {
-			progress(fmt.Sprintf("%-28s speedup ff %.2fx  wheel %.2fx",
-				sc.Name, r.Speedups[sc.Name], r.Speedups[sc.Name+"@event-wheel"]))
+			progress(fmt.Sprintf("%-28s speedup ff %.2fx", sc.Name, r.Speedups[sc.Name]))
 		}
 	}
 	return nil

@@ -237,11 +237,6 @@ type Pipeline struct {
 	eventIdx   int
 	eventStall uint64 // retirement stalled until this cycle
 
-	// wheel is the discrete-event engine's view of the machine's next
-	// state changes (see wheel.go); nil horizon sources are refreshed
-	// by WheelScan.
-	wheel EventWheel
-
 	Metrics Metrics
 }
 

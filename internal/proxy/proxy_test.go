@@ -1,8 +1,11 @@
 package proxy
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -97,6 +100,39 @@ func TestProxyFansJobLookupAcrossNodes(t *testing.T) {
 	}
 	if code, _ := getJSON(t, pts.URL+"/v1/jobs/n9-job-000042"); code != http.StatusNotFound {
 		t.Fatalf("unknown id lookup = %d, want 404", code)
+	}
+}
+
+// A large job view relayed through the fanout path must reach the
+// client whole: the proxy hands RoundTrip the inbound request's
+// context, which carries no deadline, and relays the body after
+// RoundTrip has returned.
+func TestProxyFanoutRelaysLargeBodyWhole(t *testing.T) {
+	payload := bytes.Repeat([]byte("0123456789abcdef"), 1<<16) // 1 MiB
+	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			io.WriteString(w, `{"ok":true}`)
+			return
+		}
+		w.Write(payload)
+	}))
+	defer node.Close()
+	_, pts := startProxy(t, []string{node.URL}, nil, Config{})
+
+	resp, err := http.Get(pts.URL + "/v1/jobs/n1-job-000001/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("fanout status %d, want 200", resp.StatusCode)
+	}
+	if err != nil {
+		t.Fatalf("body read failed after %d of %d bytes: %v", len(got), len(payload), err)
+	}
+	if !bytes.Equal(got, payload) {
+		t.Fatalf("relayed body has %d bytes, want the %d-byte payload", len(got), len(payload))
 	}
 }
 

@@ -37,14 +37,13 @@ func ffSpec(names []string, policy core.Policy, mutate func(*Spec)) Spec {
 	return s
 }
 
-// TestFastForwardEquivalenceMatrix asserts all three engines — the
-// event-wheel production default, the idle fast-forward scanner, and
-// the cycle-by-cycle reference — produce byte-identical Results
-// across a matrix covering missy and non-missy pairs, single-thread
-// reference runs, injected events, F ∈ {0, 1/4, 1/2, 1}, and every
-// controller extension that interacts with the skip logic
-// (MeasureMissLat, SwitchOnL1Miss, CountAllMisses, SmoothAlpha,
-// TimeShare, NaiveDeficit). DESIGN.md §9 and §16 document the
+// TestFastForwardEquivalenceMatrix asserts both engines — the idle
+// fast-forward production default and the cycle-by-cycle reference —
+// produce byte-identical Results across a matrix covering missy and
+// non-missy pairs, single-thread reference runs, injected events,
+// F ∈ {0, 1/4, 1/2, 1}, and every controller extension that interacts
+// with the skip logic (MeasureMissLat, SwitchOnL1Miss, CountAllMisses,
+// SmoothAlpha, TimeShare, NaiveDeficit). DESIGN.md §9 documents the
 // contract.
 func TestFastForwardEquivalenceMatrix(t *testing.T) {
 	cases := []struct {
@@ -100,10 +99,10 @@ func TestFastForwardEquivalenceMatrix(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			// The event-wheel run carries a live observer (tracer +
-			// registry) while fast-forward and the reference run bare: a
-			// byte-identical three-way comparison therefore proves engine
-			// equivalence AND that observability never perturbs a result.
+			// The fast-forward run carries a live observer (tracer +
+			// registry) while the reference runs bare: a byte-identical
+			// comparison therefore proves engine equivalence AND that
+			// observability never perturbs a result.
 			observer := &obs.Observer{Trace: obs.NewTracer(0), Metrics: obs.NewRegistry()}
 			ref := tc.spec
 			ref.Engine = "cycle-by-cycle"
@@ -113,25 +112,16 @@ func TestFastForwardEquivalenceMatrix(t *testing.T) {
 			}
 			refJSON := mustResultJSON(t, refRes)
 
-			var wheelRes *Result
-			for _, engine := range []string{"fast-forward", "event-wheel"} {
-				spec := tc.spec
-				spec.Engine = engine
-				if engine == "event-wheel" {
-					spec.Obs = observer
-				}
-				res, err := Run(spec)
-				if err != nil {
-					t.Fatalf("%s run: %v", engine, err)
-				}
-				if engine == "event-wheel" {
-					wheelRes = res
-				}
-				j := mustResultJSON(t, res)
-				if string(j) != string(refJSON) {
-					t.Errorf("%s result diverges from cycle-by-cycle reference\n%s: %s\nreference:    %s",
-						engine, engine, firstDiff(j, refJSON), firstDiffOther(j, refJSON))
-				}
+			ff := tc.spec
+			ff.Engine = "fast-forward"
+			ff.Obs = observer
+			ffRes, err := Run(ff)
+			if err != nil {
+				t.Fatalf("fast-forward run: %v", err)
+			}
+			if j := mustResultJSON(t, ffRes); string(j) != string(refJSON) {
+				t.Errorf("fast-forward result diverges from cycle-by-cycle reference\nfast-forward: %s\nreference:    %s",
+					firstDiff(j, refJSON), firstDiffOther(j, refJSON))
 			}
 			// The traced run must have produced a non-trivial stream —
 			// otherwise this test could pass with observability dead.
@@ -141,7 +131,7 @@ func TestFastForwardEquivalenceMatrix(t *testing.T) {
 			if got := observer.Metrics.Counter("sim.runs").Load(); got != 1 {
 				t.Errorf("registry sim.runs = %d, want 1", got)
 			}
-			if res, want := observer.Metrics.Counter("sim.wall_cycles").Load(), wheelRes.WallCycles; res != want {
+			if res, want := observer.Metrics.Counter("sim.wall_cycles").Load(), ffRes.WallCycles; res != want {
 				t.Errorf("registry sim.wall_cycles = %d, want %d", res, want)
 			}
 			if tc.name == "quad-malthusian" {

@@ -9,10 +9,9 @@ import (
 // determines a run's outcome: the machine configuration, the switch
 // policy (by name and parameters, since distinct policies can share a
 // parameter shape), the thread specs, and the measurement scale.
-// Spec.Watchdog, Spec.Engine and Spec.CycleByCycle are deliberately
-// excluded: they bound or slow execution but never alter a produced
-// result, so cached results remain valid across watchdog settings and
-// engine choices.
+// Spec.Watchdog and Spec.Engine are deliberately excluded: they bound
+// or slow execution but never alter a produced result, so cached
+// results remain valid across watchdog settings and engine choices.
 //
 // Simulations are pure functions of this payload, so equal payloads
 // imply bit-identical Results. encoding/json emits struct fields in

@@ -69,7 +69,7 @@ type ThreadSpec struct {
 
 // Spec describes a complete simulation run.
 //
-// Watchdog, Engine, CycleByCycle and Obs are execution policy and
+// Watchdog, Engine and Obs are execution policy and
 // observability, not simulation input: they bound, slow or watch the
 // run but never change a produced result, so all are excluded from
 // FingerprintJSON and cache keys.
@@ -79,19 +79,13 @@ type Spec struct {
 	Scale    Scale
 	Watchdog Watchdog
 
-	// Engine names the idle-stretch engine: "event-wheel" (the
-	// default), "fast-forward", or "cycle-by-cycle" (the reference that
-	// executes every simulated cycle individually). All engines produce
+	// Engine names the idle-stretch engine: "fast-forward" (the
+	// default, also selected by "") or "cycle-by-cycle" (the reference
+	// that executes every simulated cycle individually). Both produce
 	// bit-identical Results — verified by the equivalence matrix in
 	// fastforward_test.go — so this exists for verification and for
 	// benchmarking the engines against each other (DESIGN.md §9, §16).
-	// Empty defers to the legacy CycleByCycle switch.
 	Engine string
-
-	// CycleByCycle is the pre-Engine form of selecting the reference
-	// engine; it is consulted only when Engine is empty. Retained so
-	// existing call sites and serialized specs keep their meaning.
-	CycleByCycle bool
 
 	// Obs, when non-nil, attaches the observability layer (DESIGN.md
 	// §10): controller events stream into Obs.Trace and counters

@@ -63,24 +63,14 @@ func (s Spec) Validate() error {
 }
 
 // engine resolves the spec's engine selection to the controller enum.
-// Empty Engine defers to the legacy CycleByCycle switch, whose "not
-// cycle-by-cycle" case now means the event-wheel engine (bit-identical
-// to the fast-forward engine it replaces as the default).
 func (s Spec) engine() (core.Engine, error) {
 	switch s.Engine {
-	case "":
-		if s.CycleByCycle {
-			return core.EngineCycleByCycle, nil
-		}
-		return core.EngineEventWheel, nil
-	case "cycle-by-cycle":
-		return core.EngineCycleByCycle, nil
-	case "fast-forward":
+	case "", "fast-forward":
 		return core.EngineFastForward, nil
-	case "event-wheel":
-		return core.EngineEventWheel, nil
+	case "cycle-by-cycle":
+		return core.EngineReference, nil
 	}
-	return 0, fmt.Errorf("sim: unknown engine %q (want cycle-by-cycle, fast-forward or event-wheel)", s.Engine)
+	return 0, fmt.Errorf("sim: unknown engine %q (want fast-forward or cycle-by-cycle)", s.Engine)
 }
 
 // fingerprintLabel returns a short stable identifier for the spec,
