@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"time"
 
 	"soemt/internal/cli"
 	"soemt/internal/experiments"
@@ -33,7 +34,7 @@ func main() {
 		csvPath = flag.String("csv", "", "write the full evaluation matrix as tidy CSV to this file")
 		cache   = flag.String("cache-dir", "", "persistent result cache directory (content-addressed; see DESIGN.md)")
 		metrics = flag.Bool("metrics", false, "print run/cache metrics to stderr on exit")
-		workers = flag.Int("workers", 0, "concurrent simulations for matrix experiments (0 = GOMAXPROCS)")
+		workers = flag.Int("workers", 0, "concurrent simulations across all experiments (0 = GOMAXPROCS)")
 		timeout = flag.Duration("timeout", 0, "wall-clock budget per simulation, e.g. 90s (0 = unlimited); an exceeded run fails with a deadline error")
 		beat    = flag.Duration("heartbeat", 0, "print a metrics heartbeat line to stderr at this interval during long runs, e.g. 30s (0 = off)")
 	)
@@ -69,7 +70,12 @@ func main() {
 		}
 	}
 	if *metrics {
-		defer func() { fmt.Fprintf(os.Stderr, "soefig: metrics: %s\n", r.Metrics()) }()
+		// sim_time sums the simulations' own times; elapsed is this
+		// invocation's wall time, shorter when simulations overlap.
+		start := time.Now()
+		defer func() {
+			fmt.Fprintf(os.Stderr, "soefig: metrics: %s elapsed=%s\n", r.Metrics(), time.Since(start).Round(time.Millisecond))
+		}()
 	}
 
 	// SIGINT/SIGTERM cancel the matrix between execution slices. Pairs

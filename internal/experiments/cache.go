@@ -193,6 +193,14 @@ func (c *Cache) RunSpec(spec sim.Spec) (*sim.Result, error) {
 // cancelled client can never fail an identical request from a live
 // one.
 func (c *Cache) RunSpecContext(ctx context.Context, spec sim.Spec) (*sim.Result, error) {
+	return c.runSpec(ctx, spec, nil)
+}
+
+// runSpec is RunSpecContext with the fresh simulation, if one is
+// needed, run through bound (nil runs it directly). Only the
+// singleflight leader that missed every cache layer calls bound; a
+// Runner uses it to hold a pool slot for exactly that simulation.
+func (c *Cache) runSpec(ctx context.Context, spec sim.Spec, bound func(simulate func() (*sim.Result, error)) (*sim.Result, error)) (*sim.Result, error) {
 	key, err := Fingerprint(spec)
 	if err != nil {
 		return nil, err
@@ -204,21 +212,12 @@ func (c *Cache) RunSpecContext(ctx context.Context, spec sim.Spec) (*sim.Result,
 	if spec.Obs == nil {
 		spec.Obs = &obs.Observer{Metrics: c.m.reg}
 	}
+	simulate := func() (*sim.Result, error) { return c.simulate(ctx, spec) }
 	res, _, err := c.DoContext(ctx, key, func() (*sim.Result, error) {
-		c.m.runsStarted.Add(1)
-		start := time.Now()
-		r, err := c.run(ctx, spec)
-		if err != nil {
-			c.m.runsFailed.Add(1)
-			return nil, err
+		if bound == nil {
+			return simulate()
 		}
-		c.m.runsCompleted.Add(1)
-		c.m.simWallNanos.Add(uint64(time.Since(start)))
-		c.m.simCycles.Add(r.WallCycles)
-		if r.Truncated {
-			c.m.truncated.Add(1)
-		}
-		return r, nil
+		return bound(simulate)
 	})
 	return res, err
 }
@@ -230,11 +229,17 @@ func (c *Cache) RunSpecContext(ctx context.Context, spec sim.Spec) (*sim.Result,
 // requires an actual run regardless of cache state. soesim's
 // -trace-events path and soeserve's "trace": true jobs use it.
 // Run-lifecycle metrics (runs_started/completed/failed, sim cycles
-// and wall time) are still counted.
+// and simulation time) are still counted.
 func (c *Cache) RunSpecFresh(ctx context.Context, spec sim.Spec) (*sim.Result, error) {
 	if spec.Obs == nil {
 		spec.Obs = &obs.Observer{Metrics: c.m.reg}
 	}
+	return c.simulate(ctx, spec)
+}
+
+// simulate runs spec through the configured run function and counts
+// the run in the lifecycle metrics.
+func (c *Cache) simulate(ctx context.Context, spec sim.Spec) (*sim.Result, error) {
 	c.m.runsStarted.Add(1)
 	start := time.Now()
 	r, err := c.run(ctx, spec)
@@ -243,7 +248,7 @@ func (c *Cache) RunSpecFresh(ctx context.Context, spec sim.Spec) (*sim.Result, e
 		return nil, err
 	}
 	c.m.runsCompleted.Add(1)
-	c.m.simWallNanos.Add(uint64(time.Since(start)))
+	c.m.simTimeNanos.Add(uint64(time.Since(start)))
 	c.m.simCycles.Add(r.WallCycles)
 	if r.Truncated {
 		c.m.truncated.Add(1)

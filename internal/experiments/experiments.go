@@ -439,7 +439,30 @@ func ExpTimeShareContext(ctx context.Context, w io.Writer, r *Runner) (*TimeShar
 	fmt.Fprintf(w, "analytical (mechanism, F=1):            speedups [%.2f %.2f], fairness %.2f\n",
 		mech.Speedup[0], mech.Speedup[1], mech.Fairness)
 
-	pr, err := r.RunPairContext(ctx, Pair{"gcc", "eon"})
+	// The gcc:eon pair (for its references and the mechanism rows) and
+	// the quota sweep fan out together over the runner's pool, all
+	// through the result cache.
+	quotas := []float64{400, 2000, 10000, 50000}
+	var pr *PairRun
+	quotaRuns := make([]*sim.Result, len(quotas))
+	err = fanOut(ctx, 1+len(quotas), func(ctx context.Context, i int) (err error) {
+		if i == 0 {
+			pr, err = r.RunPairContext(ctx, Pair{"gcc", "eon"})
+			return err
+		}
+		m := r.Opts.Machine
+		m.Controller.Policy = core.TimeShare{QuotaCycles: quotas[i-1]}
+		quotaRuns[i-1], err = r.runSpec(ctx, sim.Spec{
+			Machine: m,
+			Threads: []sim.ThreadSpec{
+				{Profile: workload.MustByName("gcc"), Slot: 0},
+				{Profile: workload.MustByName("eon"), Slot: 1},
+			},
+			Scale:    r.Opts.Scale,
+			Watchdog: r.Opts.Watchdog,
+		})
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -449,21 +472,8 @@ func ExpTimeShareContext(ctx context.Context, w io.Writer, r *Runner) (*TimeShar
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "simulated gcc:eon:")
 	t := stats.NewTable("policy", "fairness", "IPC", "switches/1k cycles")
-	for _, q := range []float64{400, 2000, 10000, 50000} {
-		m := r.Opts.Machine
-		m.Controller.Policy = core.TimeShare{QuotaCycles: q}
-		res, err := sim.RunContext(ctx, sim.Spec{
-			Machine: m,
-			Threads: []sim.ThreadSpec{
-				{Profile: workload.MustByName("gcc"), Slot: 0},
-				{Profile: workload.MustByName("eon"), Slot: 1},
-			},
-			Scale:    r.Opts.Scale,
-			Watchdog: r.Opts.Watchdog,
-		})
-		if err != nil {
-			return nil, err
-		}
+	for i, q := range quotas {
+		res := quotaRuns[i]
 		sp := core.Speedups([]float64{res.Threads[0].IPC, res.Threads[1].IPC}, pr.ST[:])
 		row := TimeShareRow{
 			QuotaCycles:   q,

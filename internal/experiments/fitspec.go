@@ -143,7 +143,7 @@ func (tf *TraceFit) Spec(name string, rate float64, duration time.Duration) *spe
 func measureProfile(ctx context.Context, r *Runner, prof workload.Profile) (Marginals, error) {
 	machine := r.Opts.Machine
 	machine.Controller.Policy = core.EventOnly{}
-	res, err := r.cache.RunSpecContext(ctx, sim.Spec{
+	res, err := r.runSpec(ctx, sim.Spec{
 		Machine:  machine,
 		Threads:  []sim.ThreadSpec{{Profile: prof, Slot: 0}},
 		Scale:    r.Opts.Scale,

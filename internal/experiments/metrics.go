@@ -22,30 +22,33 @@ type RunnerMetrics struct {
 	DedupHits uint64 // joined an identical in-flight run (singleflight)
 	Misses    uint64 // required a fresh simulation
 
-	SimulatedCycles uint64        // measured cycles across completed runs
-	SimWall         time.Duration // wall time summed across completed runs
+	SimulatedCycles uint64 // measured cycles across completed runs
+	// SimTime is the simulation time summed across completed runs. Runs
+	// overlap in the pool, so it exceeds the elapsed wall time of a
+	// parallel invocation.
+	SimTime time.Duration
 }
 
 // CacheHits returns hits across all layers (memory, disk, in-flight).
 func (m RunnerMetrics) CacheHits() uint64 { return m.MemHits + m.DiskHits + m.DedupHits }
 
-// CyclesPerSec returns the aggregate simulation throughput in
-// simulated cycles per wall-clock second of simulation time.
+// CyclesPerSec returns the per-simulation throughput: simulated
+// cycles per second of simulation time.
 func (m RunnerMetrics) CyclesPerSec() float64 {
-	if m.SimWall <= 0 {
+	if m.SimTime <= 0 {
 		return 0
 	}
-	return float64(m.SimulatedCycles) / m.SimWall.Seconds()
+	return float64(m.SimulatedCycles) / m.SimTime.Seconds()
 }
 
 // String renders a one-line summary suitable for Progress callbacks.
 func (m RunnerMetrics) String() string {
 	return fmt.Sprintf(
-		"runs=%d/%d (failed=%d truncated=%d) cache hits=%d (mem=%d disk=%d dedup=%d) misses=%d sim=%.2gMcyc %.3gMcyc/s wall=%s",
+		"runs=%d/%d (failed=%d truncated=%d) cache hits=%d (mem=%d disk=%d dedup=%d) misses=%d sim=%.2gMcyc %.3gMcyc/s sim_time=%s",
 		m.RunsCompleted, m.RunsStarted, m.RunsFailed, m.TruncatedRuns,
 		m.CacheHits(), m.MemHits, m.DiskHits, m.DedupHits, m.Misses,
 		float64(m.SimulatedCycles)/1e6, m.CyclesPerSec()/1e6,
-		m.SimWall.Round(time.Millisecond))
+		m.SimTime.Round(time.Millisecond))
 }
 
 // metrics is the collector behind RunnerMetrics, backed by the
@@ -83,7 +86,7 @@ type metrics struct {
 	peerErrors *obs.Counter
 
 	simCycles    *obs.Counter
-	simWallNanos *obs.Counter
+	simTimeNanos *obs.Counter
 }
 
 // newMetrics resolves the collector's counters in reg (a fresh
@@ -107,7 +110,7 @@ func newMetrics(reg *obs.Registry) metrics {
 		peerMisses:    reg.Counter("cluster.peer_fill_misses"),
 		peerErrors:    reg.Counter("cluster.peer_fill_errors"),
 		simCycles:     reg.Counter("runner.sim_cycles"),
-		simWallNanos:  reg.Counter("runner.sim_wall_nanos"),
+		simTimeNanos:  reg.Counter("runner.sim_time_nanos"),
 	}
 }
 
@@ -122,6 +125,6 @@ func (m *metrics) snapshot() RunnerMetrics {
 		DedupHits:       m.dedupHits.Load(),
 		Misses:          m.misses.Load(),
 		SimulatedCycles: m.simCycles.Load(),
-		SimWall:         time.Duration(m.simWallNanos.Load()),
+		SimTime:         time.Duration(m.simTimeNanos.Load()),
 	}
 }

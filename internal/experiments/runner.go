@@ -3,9 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"sync"
 
 	"soemt/internal/core"
@@ -107,9 +105,10 @@ func (pr *PairRun) NormalizedThroughput(f float64) float64 {
 type Runner struct {
 	Opts Options
 
-	// Workers bounds the number of concurrent simulations in RunAll
-	// (each simulation is single-threaded and deterministic); 0 means
-	// GOMAXPROCS.
+	// Workers bounds the number of simulations running at once across
+	// every call on this runner (each simulation is single-threaded and
+	// deterministic); 0 means GOMAXPROCS. It is read when the runner
+	// starts its first simulation.
 	Workers int
 
 	// Faults, if non-nil, deterministically injects faults into the
@@ -123,6 +122,9 @@ type Runner struct {
 	mu    sync.Mutex
 	pairs map[string]*PairRun
 	used  bool // a simulation has been requested through this runner
+
+	poolOnce sync.Once
+	sims     *simPool // created on first use; see pool
 
 	// Progress, if non-nil, receives one line per completed run. It
 	// may be called from multiple goroutines.
@@ -240,7 +242,7 @@ func (r *Runner) STRefContext(ctx context.Context, name string) (*sim.Result, er
 	r.markUsed()
 	machine := r.Opts.Machine
 	machine.Controller.Policy = core.EventOnly{}
-	res, err := r.cache.RunSpecContext(ctx, sim.Spec{
+	res, err := r.runSpec(ctx, sim.Spec{
 		Machine:  machine,
 		Threads:  []sim.ThreadSpec{{Profile: prof, Slot: 0}},
 		Scale:    r.Opts.Scale,
@@ -286,7 +288,7 @@ func (r *Runner) RunPairAtContext(ctx context.Context, p Pair, f float64) (*sim.
 	if p.Same() {
 		spec.Threads[1].StartSeq = r.Opts.SameOffset
 	}
-	res, err := r.cache.RunSpecContext(ctx, spec)
+	res, err := r.runSpec(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -303,9 +305,11 @@ func (r *Runner) RunPair(p Pair) (*PairRun, error) {
 }
 
 // RunPairContext runs the full F matrix plus ST references for one
-// pair and memoizes the assembled PairRun. Safe for concurrent use;
-// the underlying simulations are deduplicated by the cache. A
-// cancelled or failed pair is not memoized — a later call retries.
+// pair and memoizes the assembled PairRun. The pair's simulations fan
+// out over the runner's pool. Safe for concurrent use; the underlying
+// simulations are deduplicated by the cache. The first failure stops
+// the pair's remaining simulations from starting; a cancelled or
+// failed pair is not memoized — a later call retries.
 func (r *Runner) RunPairContext(ctx context.Context, p Pair) (*PairRun, error) {
 	r.mu.Lock()
 	pr, ok := r.pairs[p.Name()]
@@ -313,21 +317,25 @@ func (r *Runner) RunPairContext(ctx context.Context, p Pair) (*PairRun, error) {
 	if ok {
 		return pr, nil
 	}
-	pr = &PairRun{Pair: p, ByF: make(map[float64]*sim.Result)}
-	for i, name := range []string{p.A, p.B} {
-		res, err := r.STRefContext(ctx, name)
-		if err != nil {
-			return nil, err
+	pr = &PairRun{Pair: p, ByF: make(map[float64]*sim.Result, len(FLevels))}
+	names := [2]string{p.A, p.B}
+	byF := make([]*sim.Result, len(FLevels))
+	err := fanOut(ctx, len(names)+len(FLevels), func(ctx context.Context, i int) (err error) {
+		if i < len(names) {
+			pr.STRuns[i], err = r.STRefContext(ctx, names[i])
+		} else {
+			byF[i-len(names)], err = r.RunPairAtContext(ctx, p, FLevels[i-len(names)])
 		}
-		pr.ST[i] = res.Threads[0].IPC
-		pr.STRuns[i] = res
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, f := range FLevels {
-		res, err := r.RunPairAtContext(ctx, p, f)
-		if err != nil {
-			return nil, err
-		}
-		pr.ByF[f] = res
+	for i, res := range pr.STRuns {
+		pr.ST[i] = res.Threads[0].IPC
+	}
+	for i, f := range FLevels {
+		pr.ByF[f] = byF[i]
 	}
 	r.mu.Lock()
 	if prev, ok := r.pairs[p.Name()]; ok {
@@ -344,12 +352,13 @@ func (r *Runner) RunAll() ([]*PairRun, error) {
 	return r.RunAllContext(context.Background())
 }
 
-// RunAllContext runs the full matrix over Pairs(), distributing pairs
-// across Workers goroutines (simulations are independent and
-// deterministic, so the results do not depend on scheduling). The
-// first error — including a recovered worker panic, or ctx being
-// cancelled — stops dispatching; already-running simulations finish
-// but no new pairs start.
+// RunAllContext runs the full matrix over Pairs(). Every pair fans its
+// simulations out over the runner's pool, so Workers simulations run at
+// once whichever pairs they belong to, and they start in matrix order
+// (simulations are independent and deterministic, so the results do
+// not depend on scheduling). The first error — including a recovered
+// worker panic, or ctx being cancelled — stops dispatching;
+// already-running simulations finish but no new ones start.
 //
 // The returned slice is indexed like Pairs() and always carries every
 // pair completed before the stop (nil for pairs that never finished),
@@ -359,91 +368,24 @@ func (r *Runner) RunAll() ([]*PairRun, error) {
 func (r *Runner) RunAllContext(ctx context.Context) ([]*PairRun, error) {
 	ps := Pairs()
 	out := make([]*PairRun, len(ps))
-
-	workers := r.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(ps) {
-		workers = len(ps)
-	}
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		once     sync.Once
-		firstErr error
-	)
-	fail := func(err error) {
-		once.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-
-	// Pool occupancy gauges: workers = configured size, active = pairs
-	// being simulated right now. Visible mid-run via Observability.
-	reg := r.Observability()
-	reg.Gauge("pool.workers").Set(int64(workers))
-	active := reg.Gauge("pool.active")
-
-	runOne := func(ctx context.Context, p Pair) (pr *PairRun, err error) {
+	r.pool() // publish the pool gauges before the first simulation
+	err := fanOut(ctx, len(ps), func(ctx context.Context, i int) (err error) {
+		p := ps[i]
 		defer func() {
 			if rec := recover(); rec != nil {
 				err = fmt.Errorf("experiments: pair %s: worker panic: %v", p.Name(), rec)
 			}
 		}()
-		active.Add(1)
-		defer active.Add(-1)
 		r.Faults.Sleep("worker.delay")
 		r.Faults.MaybePanic("worker.panic")
 		// Label the pair for CPU profiles: `soesim -pprof` samples then
 		// attribute to the pair being simulated, not just the pool.
 		pprof.Do(ctx, pprof.Labels("soemt_pair", p.Name()), func(ctx context.Context) {
-			pr, err = r.RunPairContext(ctx, p)
+			out[i], err = r.RunPairContext(ctx, p)
 		})
-		return pr, err
-	}
-
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// The worker label distinguishes pool goroutines in pprof
-			// (goroutine and CPU profiles) on long matrix runs.
-			pprof.Do(runCtx, pprof.Labels("soemt_worker", strconv.Itoa(w)), func(ctx context.Context) {
-				for i := range next {
-					if ctx.Err() != nil {
-						continue // drain without running
-					}
-					pr, err := runOne(ctx, ps[i])
-					if err != nil {
-						fail(err)
-						continue
-					}
-					out[i] = pr
-				}
-			})
-		}(w)
-	}
-dispatch:
-	for i := range ps {
-		select {
-		case next <- i:
-		case <-runCtx.Done():
-			break dispatch
-		}
-	}
-	close(next)
-	wg.Wait()
-
-	if firstErr != nil {
-		return out, firstErr
-	}
-	if err := runCtx.Err(); err != nil {
+		return err
+	})
+	if err != nil {
 		return out, err
 	}
 	r.logf("metrics: %s", r.Metrics())

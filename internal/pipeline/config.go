@@ -85,9 +85,11 @@ func (c Config) Validate() error {
 	if c.DecodeCycles < 0 || c.RedirectPenalty < 0 || c.BTBMissPenalty < 0 {
 		return &ConfigError{Field: "penalties"}
 	}
-	// The issue scheduler packs RS slot indices into 16-bit key fields.
-	if c.RSSize > 1<<16 {
-		return &ConfigError{Field: "RSSize"}
+	// Wake events pack a ROB slot into 16 bits, so the power-of-two
+	// ROB ring (the next power of two at or above ROBSize) must not
+	// exceed 1<<16 entries.
+	if c.ROBSize > 1<<16 {
+		return &ConfigError{Field: "ROBSize"}
 	}
 	return nil
 }

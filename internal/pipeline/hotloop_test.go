@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"soemt/internal/isa"
@@ -70,55 +71,100 @@ func (p *Pipeline) plantROB(id uint64, u isa.Uop) {
 	p.robFlags[s] = 0
 }
 
-// plantRS installs a ready (operand-free) RS entry in the given slot.
-func (p *Pipeline) plantRS(slot int, robID, seqNum uint64, kind isa.Kind) {
-	p.rsValid[slot>>6] |= 1 << uint(slot&63)
-	p.rsReady[slot>>6] |= 1 << uint(slot&63)
-	p.rsRob[slot] = robID
-	p.rsKey[slot] = seqNum<<keySeqShift | uint64(isa.PortMask[kind])<<keyPortShift | uint64(slot)
-	p.rsHas[slot] = 0
-	p.rsWaitCnt[slot] = 0
-	p.rsWakeAt[slot] = 0
+// plantRS installs a ready (operand-free) RS entry for the micro-op at
+// ROB id: reservation stations live in ROB slots, so the id alone
+// places it.
+func (p *Pipeline) plantRS(id uint64, kind isa.Kind) {
+	s := id & p.robMask
+	p.robUop[s].Kind = kind
+	p.rsReady[s>>6] |= 1 << (s & 63)
+	p.rsWaitCnt[s] = 0
+	p.rsWakeAt[s] = 0
 	p.rsCount++
+}
+
+// testMachineROB is testMachine with a ROB of the given size (its ring
+// is the next power of two).
+func testMachineROB(rob int) *Pipeline {
+	p := testMachine()
+	cfg := p.cfg
+	cfg.ROBSize = rob
+	q, err := New(cfg, p.hier, p.bu)
+	if err != nil {
+		panic(err)
+	}
+	return q
 }
 
 // TestIssueOldestFirst pins the scheduler's oldest-first selection: with
 // more ready entries than free ports, the issued subset must be exactly
-// the lowest seqNums, regardless of RS slot order.
+// the oldest ROB ids. The head cases place the ROB head near the end of
+// the ring so that age order wraps past the last slot: slot order then
+// disagrees with age order, and a plain low-to-high slot scan would pick
+// the wrong pair.
 func TestIssueOldestFirst(t *testing.T) {
-	p := testMachine()
-	// Three ready ALU entries placed in reverse age order across RS
-	// slots. ALU has two ports, so one issue() pass takes exactly two —
-	// and they must be the two oldest.
-	ids := []uint64{0, 1, 2}
-	seqs := []uint64{30, 10, 20} // slot order deliberately != age order
-	p.nextID = 3
-	for i, id := range ids {
-		p.plantROB(id, isa.Uop{Seq: id, Kind: isa.ALU, Dst: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone})
-		p.plantRS(i, id, seqs[i], isa.ALU)
-	}
-	p.issue(100)
-	issuedSeqs := map[uint64]bool{}
-	for _, id := range ids {
-		if p.robFlags[id&p.robMask]&rfIssued != 0 {
-			issuedSeqs[seqByID(seqs, ids, id)] = true
-		}
-	}
-	if len(issuedSeqs) != 2 || !issuedSeqs[10] || !issuedSeqs[20] {
-		t.Fatalf("issued seqNums %v, want exactly the two oldest {10, 20}", issuedSeqs)
-	}
-	if p.rsCount != 1 {
-		t.Fatalf("rsCount = %d after issuing two of three", p.rsCount)
+	for _, tc := range []struct {
+		name string
+		rob  int
+		head uint64
+	}{
+		{"head-at-start", 96, 0},
+		{"head-near-ring-end", 96, 126},
+		{"head-at-last-slot", 96, 127},
+		{"multi-word-ring-wraps", 200, 255},
+		{"sub-word-ring-wraps", 24, 31},
+		{"sub-word-ring-head-mid", 24, 17},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := testMachineROB(tc.rob)
+			// Three ready ALU entries at the three oldest ids from the
+			// head. ALU has two ports, so one issue() pass takes exactly
+			// two, and they must be the two oldest.
+			p.headID, p.nextID = tc.head, tc.head+3
+			ids := []uint64{tc.head, tc.head + 1, tc.head + 2}
+			for _, id := range ids {
+				p.plantROB(id, isa.Uop{Seq: id, Kind: isa.ALU, Dst: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone})
+				p.plantRS(id, isa.ALU)
+			}
+			p.issue(100)
+			for i, id := range ids {
+				issued := p.robFlags[id&p.robMask]&rfIssued != 0
+				if want := i < 2; issued != want {
+					t.Fatalf("id %d (slot %d): issued = %v, want %v", id, id&p.robMask, issued, want)
+				}
+			}
+			if p.rsCount != 1 {
+				t.Fatalf("rsCount = %d after issuing two of three", p.rsCount)
+			}
+		})
 	}
 }
 
-func seqByID(seqs, ids []uint64, id uint64) uint64 {
-	for i, x := range ids {
-		if x == id {
-			return seqs[i]
+// TestIssuePortBlockedYields pins the one-pass pick's skip rule: an
+// older entry whose port group is busy yields to a younger one whose
+// port is free, and the blocked entry stays ready.
+func TestIssuePortBlockedYields(t *testing.T) {
+	p := testMachineROB(24)
+	p.headID, p.nextID = 30, 33 // wraps: slots 30, 31, 0
+	kinds := []isa.Kind{isa.Div, isa.ALU, isa.Load}
+	for i, k := range kinds {
+		id := p.headID + uint64(i)
+		p.plantROB(id, isa.Uop{Seq: id, Kind: k, Dst: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone})
+		p.plantRS(id, k)
+	}
+	for m := isa.PortMask[isa.Div]; m != 0; m &= m - 1 {
+		p.portBusy[bits.TrailingZeros8(m)] = 1000
+	}
+	p.issue(100)
+	for i, want := range []bool{false, true, true} {
+		id := p.headID + uint64(i)
+		if got := p.robFlags[id&p.robMask]&rfIssued != 0; got != want {
+			t.Fatalf("id %d (%v): issued = %v, want %v", id, kinds[i], got, want)
 		}
 	}
-	panic("unknown id")
+	if s := p.headID & p.robMask; p.rsReady[s>>6]&(1<<(s&63)) == 0 {
+		t.Fatal("port-blocked entry lost its ready bit")
+	}
 }
 
 // TestIssueWakeCacheTransparent runs the same workloads on a normal

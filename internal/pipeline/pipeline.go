@@ -12,7 +12,7 @@ import (
 )
 
 // The core's per-entry state lives in struct-of-arrays layout: the hot
-// loops (retire, issue candidate scan, wake-bound computation) each
+// loops (retire, the issue pass, wake-bound computation) each
 // touch one or two fields of many entries, so parallel arrays keep
 // those scans inside a few cache lines instead of striding over full
 // structs. ROB per-entry booleans are packed into one flags byte.
@@ -22,12 +22,6 @@ const (
 	rfMiss                     // execution involved an unresolved L2/walk miss
 	rfL1                       // L1 miss that hit in L2 (§6 extension)
 	rfPred                     // fetch-time predicted direction (branches)
-)
-
-// RS per-entry operand-presence bits (rsHas).
-const (
-	rsHas1 uint8 = 1 << iota
-	rsHas2
 )
 
 // InjectedStall is a LIT-style external event: when the architectural
@@ -109,23 +103,11 @@ type renameEntry struct {
 	valid bool
 }
 
-// Packed hot-path words. Both the wake heap and the issue-selection
-// keys pack their fields into one uint64 so heap sifts and selection
-// scans move single words with no pointer-chased side lookups:
-//
-//	wake event:    at<<16 | slot
-//	selection key: seq<<24 | ports<<16 | slot
-//
-// Slots fit 16 bits (RSSize is validated ≤ 64 k) and the seq/at high
-// fields keep full ordering for any realistic run length (2^40+
-// renames / 2^48 cycles). Key comparison orders by seq first; the low
-// bits never matter because seqs are unique.
-const (
-	wakeSlotBits = 16
-	keySlotBits  = 16
-	keyPortShift = keySlotBits
-	keySeqShift  = keySlotBits + 8
-)
+// A wake-heap event packs its wake cycle and ROB slot into one word,
+// at<<16 | slot, so heap sifts move single words. Slots fit 16 bits
+// (Config.Validate bounds the ROB ring at 1<<16 entries) and the at
+// field keeps full ordering for 2^48 cycles.
+const wakeSlotBits = 16
 
 // Pipeline is the out-of-order core. It executes one thread at a time
 // (SOE); the controller switches threads with Squash + SetStream.
@@ -150,18 +132,11 @@ type Pipeline struct {
 	headID    uint64
 	nextID    uint64
 
-	// Reservation stations, struct-of-arrays. rsValid is a bitmask
-	// (64 slots per word): scans iterate set bits only, and the rename
-	// free-slot search is a find-first-zero instead of a slot walk.
-	// rsKey packs each entry's age and port mask into one selection key
-	// (seq<<24 | ports<<16 | slot) so the issue stage's oldest-first
-	// scan compares single words.
-	rsValid []uint64
-	rsRob   []uint64
-	rsSrc1  []uint64
-	rsSrc2  []uint64
-	rsKey   []uint64
-	rsHas   []uint8
+	// Reservation stations, struct-of-arrays, indexed by the ROB slot of
+	// the entry's micro-op (id & robMask). Circular ROB order from the
+	// head slot is therefore age order, and the issue stage's
+	// oldest-first pick is one pass over the rsReady bits starting at
+	// the head. rsCount enforces the RSSize capacity.
 	rsCount int
 	lbCount int
 
@@ -193,15 +168,14 @@ type Pipeline struct {
 	renameMap [isa.NumRegs]renameEntry
 
 	// Front end (struct-of-arrays ring).
-	fqUop        []isa.Uop
-	fqReadyAt    []uint64
-	fqPred       []bool
-	fqHead       int
-	fqCount      int
-	fetchStall   uint64 // no fetch before this cycle
-	brBlocked    bool   // fetch blocked on an unresolved mispredict
-	brBlockSeq   uint64 // seq of the blocking branch
-	rsSeqCounter uint64
+	fqUop      []isa.Uop
+	fqReadyAt  []uint64
+	fqPred     []bool
+	fqHead     int
+	fqCount    int
+	fetchStall uint64 // no fetch before this cycle
+	brBlocked  bool   // fetch blocked on an unresolved mispredict
+	brBlockSeq uint64 // seq of the blocking branch
 
 	// Execution ports.
 	portBusy [isa.NumPorts]uint64
@@ -215,11 +189,6 @@ type Pipeline struct {
 	// retiring cannot make a consumer ready earlier than its cached
 	// wake time.
 	issueWakeAt uint64
-
-	// issueCands is per-cycle scratch for the issue stage's single-pass
-	// candidate collection (packed selection keys; picked entries are
-	// overwritten with ^0, which compares older-than-nothing).
-	issueCands []uint64
 
 	// Store buffer (survives squash), struct-of-arrays. Live entries
 	// are indices [sbHead:]; dispatch advances sbHead in O(1) and the
@@ -265,17 +234,11 @@ func NewIn(a *arena.Arena, cfg Config, hier *mem.Hierarchy, bu *branch.Unit) (*P
 		robDoneAt:  arena.Slice[uint64](a, robLen),
 		robFlags:   arena.Slice[uint8](a, robLen),
 		robMask:    uint64(robLen - 1),
-		rsValid:    arena.Slice[uint64](a, (cfg.RSSize+63)/64),
-		rsRob:      arena.Slice[uint64](a, cfg.RSSize),
-		rsSrc1:     arena.Slice[uint64](a, cfg.RSSize),
-		rsSrc2:     arena.Slice[uint64](a, cfg.RSSize),
-		rsKey:      arena.Slice[uint64](a, cfg.RSSize),
-		rsHas:      arena.Slice[uint8](a, cfg.RSSize),
-		rsReady:    arena.Slice[uint64](a, (cfg.RSSize+63)/64),
-		rsWaitCnt:  arena.Slice[uint8](a, cfg.RSSize),
-		rsWakeAt:   arena.Slice[uint64](a, cfg.RSSize),
-		rsNext1:    arena.Slice[int32](a, cfg.RSSize),
-		rsNext2:    arena.Slice[int32](a, cfg.RSSize),
+		rsReady:    arena.Slice[uint64](a, (robLen+63)/64),
+		rsWaitCnt:  arena.Slice[uint8](a, robLen),
+		rsWakeAt:   arena.Slice[uint64](a, robLen),
+		rsNext1:    arena.Slice[int32](a, robLen),
+		rsNext2:    arena.Slice[int32](a, robLen),
 		robWaiters: arena.Slice[int32](a, robLen),
 		fqUop:      arena.Slice[isa.Uop](a, cfg.FetchQSize),
 		fqReadyAt:  arena.Slice[uint64](a, cfg.FetchQSize),
@@ -284,7 +247,6 @@ func NewIn(a *arena.Arena, cfg Config, hier *mem.Hierarchy, bu *branch.Unit) (*P
 	for i := range p.robWaiters {
 		p.robWaiters[i] = -1
 	}
-	p.issueCands = arena.Slice[uint64](a, cfg.RSSize)[:0]
 	p.wakeHeap = arena.Slice[uint64](a, cfg.RSSize)[:0]
 	return p, nil
 }
@@ -352,15 +314,12 @@ func (p *Pipeline) SetStream(tid int, s *workload.Stream, startAt uint64) {
 // retired).
 //
 // Per-slot ROB/RS payloads are NOT cleared: a slot's contents are only
-// ever read while it is live (rsValid bit set, or id in [headID,
-// nextID)), and allocation rewrites every field it later reads.
+// ever read while it is live (id in [headID, nextID)), and allocation
+// rewrites every field it later reads.
 func (p *Pipeline) Squash() uint64 {
 	p.Metrics.Squashed += p.nextID - p.headID + uint64(p.fqCount)
 	p.headID = 0
 	p.nextID = 0
-	for i := range p.rsValid {
-		p.rsValid[i] = 0
-	}
 	for i := range p.rsReady {
 		p.rsReady[i] = 0
 	}
@@ -537,66 +496,54 @@ func (p *Pipeline) issue(now uint64) {
 		p.heapPop()
 		p.rsReady[slot>>6] |= 1 << (slot & 63)
 	}
-	// Candidates: ready entries whose port group has a free port now.
-	// Port availability cannot improve within the cycle (busy-until
-	// times only grow), so the collected set stays valid across picks;
-	// only the per-pick free mask must be refreshed.
+	// Oldest-first picks in one pass: walk the ready entries in
+	// circular ROB order from the head slot (age order) and issue each
+	// one whose port group has a free port. Port availability cannot
+	// improve within the cycle (busy-until times only grow), so an
+	// entry skipped for a busy port stays blocked and is never
+	// revisited; each claim clears its port from the free mask (the
+	// claim always busies it past now). The walk visits the head word's
+	// bits from the head slot up, the words after it, the words before
+	// it, and finally the head word's bits below the head slot; with a
+	// ring under 64 entries the single partial word is visited twice,
+	// high part then low part.
 	free := p.portFreeMask(now)
-	cands := p.issueCands[:0]
-	for w, word := range p.rsReady {
-		base := w * 64
+	head := p.headID & p.robMask
+	hw, hb := int(head>>6), head&63
+	picked := false
+	for i := 0; i <= len(p.rsReady); i++ {
+		w := hw + i
+		if w >= len(p.rsReady) {
+			w -= len(p.rsReady)
+		}
+		word := p.rsReady[w]
+		switch i {
+		case 0:
+			word &= ^uint64(0) << hb
+		case len(p.rsReady):
+			word &= 1<<hb - 1
+		}
 		for word != 0 {
-			i := base + bits.TrailingZeros64(word)
+			b := bits.TrailingZeros64(word)
 			word &= word - 1
-			key := p.rsKey[i]
-			if uint8(key>>keyPortShift)&free == 0 {
+			s := uint64(w<<6 + b)
+			if isa.PortMask[p.robUop[s].Kind]&free == 0 {
 				continue
 			}
-			cands = append(cands, key)
+			port := p.execute(now, s)
+			free &^= 1 << uint(port)
+			p.rsReady[w] &^= 1 << uint(b)
+			p.rsCount--
+			picked = true
+			if p.rsCount == 0 || free == 0 {
+				return
+			}
 		}
 	}
-	if len(cands) == 0 {
+	if !picked {
 		// Nothing can issue now: cache the earliest future issue bound
 		// so the cycles until then skip this stage entirely.
 		p.issueWakeAt = p.issueBound()
-		return
-	}
-	// Oldest-first picks, exactly as a per-slot selection scan would
-	// make them: the oldest candidate with a free port goes first; a
-	// port-blocked older candidate yields to a younger one whose port
-	// is free. RS is small (tens of entries), so repeated selection
-	// over the candidate list is fine — the keys are packed words, so
-	// each rescan is a branchy min over one cache line or two. Picked
-	// candidates are overwritten with ^0 (older-than-nothing) in place;
-	// the free mask is maintained by clearing the claimed port's bit
-	// (the claim always busies it past now).
-	remaining := len(cands)
-	for remaining > 0 && free != 0 {
-		best := -1
-		bestKey := ^uint64(0)
-		for ci, key := range cands {
-			if key >= bestKey {
-				continue
-			}
-			if uint8(key>>keyPortShift)&free == 0 {
-				continue
-			}
-			best, bestKey = ci, key
-		}
-		if best == -1 {
-			break
-		}
-		slot := bestKey & (1<<keySlotBits - 1)
-		cands[best] = ^uint64(0)
-		remaining--
-		port := p.execute(now, p.rsRob[slot])
-		free &^= 1 << uint(port)
-		p.rsValid[slot>>6] &^= 1 << (slot & 63)
-		p.rsReady[slot>>6] &^= 1 << (slot & 63)
-		p.rsCount--
-		if p.rsCount == 0 {
-			return
-		}
 	}
 	// Productive cycle with leftovers: leave the wake cache where it is
 	// (<= now, since we got past the bail above). The next cycle's scan
@@ -625,7 +572,7 @@ func (p *Pipeline) issueBound() uint64 {
 			i := base + bits.TrailingZeros64(word)
 			word &= word - 1
 			free := ^uint64(0)
-			for m := uint8(p.rsKey[i] >> keyPortShift); m != 0; m &= m - 1 {
+			for m := isa.PortMask[p.robUop[i].Kind]; m != 0; m &= m - 1 {
 				if b := p.portBusy[bits.TrailingZeros8(m)]; b < free {
 					free = b
 				}
@@ -710,10 +657,9 @@ func (p *Pipeline) claimPort(kind isa.Kind, now, until uint64) int {
 	panic("pipeline: claimPort called with no free port")
 }
 
-// execute starts execution of the ROB entry with the given id at
-// cycle now, returning the issue port it claimed.
-func (p *Pipeline) execute(now uint64, id uint64) (port int) {
-	s := id & p.robMask
+// execute starts execution of the ROB entry in slot s at cycle now,
+// returning the issue port it claimed.
+func (p *Pipeline) execute(now uint64, s uint64) (port int) {
 	u := &p.robUop[s]
 	flags := p.robFlags[s] | rfIssued
 	kind := u.Kind
@@ -833,20 +779,6 @@ func (p *Pipeline) renameBlocked(kind isa.Kind) bool {
 	return kind == isa.Load && p.lbCount >= p.cfg.LoadBufSize
 }
 
-// freeRSSlot returns the lowest-index free reservation-station slot.
-// Callers ensure occupancy < RSSize, so a free slot exists.
-func (p *Pipeline) freeRSSlot() int32 {
-	for w, word := range p.rsValid {
-		if inv := ^word; inv != 0 {
-			i := int32(w*64 + bits.TrailingZeros64(inv))
-			if int(i) < p.cfg.RSSize {
-				return i
-			}
-		}
-	}
-	panic("pipeline: no free reservation station")
-}
-
 // rename moves micro-ops from the fetch queue into the ROB/RS.
 func (p *Pipeline) rename(now uint64) {
 	for n := 0; n < p.cfg.RenameWidth; n++ {
@@ -874,19 +806,11 @@ func (p *Pipeline) rename(now uint64) {
 		}
 
 		if needRS {
-			slot := p.freeRSSlot()
-			p.rsValid[slot>>6] |= 1 << uint(slot&63)
-			p.rsRob[slot] = id
-			p.rsKey[slot] = p.rsSeqCounter<<keySeqShift |
-				uint64(isa.PortMask[u.Kind])<<keyPortShift | uint64(slot)
-			p.rsSeqCounter++
-			var has uint8
+			slot := int32(s)
 			waitCnt := uint8(0)
 			var wakeAt uint64
 			if u.Src1.Valid() {
 				if rm := &p.renameMap[u.Src1]; rm.valid {
-					p.rsSrc1[slot] = rm.id
-					has |= rsHas1
 					if t, known := p.producerReadyAt(rm.id); known {
 						if t > wakeAt {
 							wakeAt = t
@@ -901,8 +825,6 @@ func (p *Pipeline) rename(now uint64) {
 			}
 			if u.Src2.Valid() {
 				if rm := &p.renameMap[u.Src2]; rm.valid {
-					p.rsSrc2[slot] = rm.id
-					has |= rsHas2
 					if t, known := p.producerReadyAt(rm.id); known {
 						if t > wakeAt {
 							wakeAt = t
@@ -915,14 +837,13 @@ func (p *Pipeline) rename(now uint64) {
 					}
 				}
 			}
-			p.rsHas[slot] = has
 			p.rsWaitCnt[slot] = waitCnt
 			p.rsWakeAt[slot] = wakeAt
 			if waitCnt == 0 {
 				if wakeAt <= now {
-					p.rsReady[slot>>6] |= 1 << uint(slot&63)
+					p.rsReady[s>>6] |= 1 << (s & 63)
 				} else {
-					p.heapPush(wakeAt, uint64(slot))
+					p.heapPush(wakeAt, s)
 				}
 			}
 			p.rsCount++

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"errors"
 	"testing"
 
 	"soemt/internal/branch"
@@ -494,5 +495,60 @@ func TestFetchQueueWraparound(t *testing.T) {
 	// arch-seq invariant.
 	if p.NextArchSeq() != retired {
 		t.Fatalf("arch seq %d != retired %d after queue wraparound", p.NextArchSeq(), retired)
+	}
+}
+
+// TestValidateROBRingBound pins the wake-event packing limit: ROB slots
+// travel in 16 bits, so a ROB whose power-of-two ring exceeds 1<<16
+// entries is rejected with a ConfigError, and the largest ring that
+// fits is accepted.
+func TestValidateROBRingBound(t *testing.T) {
+	for _, tc := range []struct {
+		rob int
+		ok  bool
+	}{
+		{1, true},
+		{63, true},
+		{1 << 16, true},
+		{1<<16 + 1, false},
+		{1 << 20, false},
+	} {
+		cfg := DefaultConfig()
+		cfg.ROBSize = tc.rob
+		err := cfg.Validate()
+		if tc.ok {
+			if err != nil {
+				t.Errorf("ROBSize %d: unexpected error %v", tc.rob, err)
+			}
+			continue
+		}
+		var ce *ConfigError
+		if !errors.As(err, &ce) || ce.Field != "ROBSize" {
+			t.Errorf("ROBSize %d: error %v, want a ROBSize ConfigError", tc.rob, err)
+		}
+	}
+}
+
+// TestSmallROBMakesProgress runs ROBs under 64 entries, whose ring is
+// one partial bitmap word, and sizes on either side of a word: the
+// circular issue walk must keep finding every ready entry, since one
+// lost ready bit stalls the ROB head forever and run fails.
+func TestSmallROBMakesProgress(t *testing.T) {
+	for _, rob := range []int{4, 24, 32, 33, 63} {
+		for _, prof := range []workload.Profile{aluProfile(), missyProfile()} {
+			hcfg := mem.DefaultConfig()
+			h := mem.MustNewHierarchy(hcfg)
+			cfg := DefaultConfig()
+			cfg.ROBSize = rob
+			bu := branch.NewUnit(cfg.BranchEntries, cfg.BTBEntries, cfg.RASDepth, cfg.HistoryBits)
+			p, err := New(cfg, h, bu)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run(t, p, prof, 20000)
+			if p.NextArchSeq() < 20000 {
+				t.Fatalf("ROB %d %s: arch seq %d", rob, prof.Name, p.NextArchSeq())
+			}
+		}
 	}
 }

@@ -158,7 +158,11 @@ func (p *Proxy) shed(w http.ResponseWriter, status int, retryAfter time.Duration
 	writeError(w, status, format, args...)
 }
 
-// relay copies a backend response to the client verbatim.
+// relay copies a backend response to the client verbatim. The status
+// line is already sent when the body streams, so a body that fails
+// midway (the backend died or the link broke) cannot be reported with
+// a status: relay aborts the response instead, and the client sees a
+// broken response rather than a short body passed off as complete.
 func relay(w http.ResponseWriter, resp *http.Response) {
 	defer resp.Body.Close()
 	for k, vs := range resp.Header {
@@ -167,7 +171,9 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
+	if _, err := io.Copy(w, resp.Body); err != nil {
+		panic(http.ErrAbortHandler)
+	}
 }
 
 // discard drains and closes a response the gateway is not relaying,

@@ -136,6 +136,37 @@ func TestProxyFanoutRelaysLargeBodyWhole(t *testing.T) {
 	}
 }
 
+// A backend that dies halfway through a 1 MiB body must not reach the
+// client as a complete 200: the proxy has already sent the status line,
+// so it aborts the response and the client's read fails. The backend
+// streams chunked (no Content-Length), so without the abort the
+// client would see a well-formed, silently short body.
+func TestProxyAbortsTruncatedRelay(t *testing.T) {
+	payload := bytes.Repeat([]byte("0123456789abcdef"), 1<<16) // 1 MiB
+	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			io.WriteString(w, `{"ok":true}`)
+			return
+		}
+		w.Write(payload[:len(payload)/2])
+		w.(http.Flusher).Flush()
+		panic(http.ErrAbortHandler) // close the connection mid-body
+	}))
+	defer node.Close()
+	_, pts := startProxy(t, []string{node.URL}, nil, Config{})
+
+	resp, err := http.Get(pts.URL + "/v1/jobs/n1-job-000001/trace")
+	if err != nil {
+		return // the abort reached the client before the headers did
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err == nil {
+		t.Fatalf("status %d with a %d-byte body read cleanly; want a broken response for a %d-byte payload cut in half",
+			resp.StatusCode, len(got), len(payload))
+	}
+}
+
 func TestProxyPropagates429WithRetryAfter(t *testing.T) {
 	// One saturated node: queue depth 1, one worker, slow simulations.
 	nodes := startNodesWith(t, 1,

@@ -48,6 +48,22 @@ func Float64At(seed, index uint64) float64 {
 	return float64(Uint64At(seed, index)>>11) / (1 << 53)
 }
 
+// Counter returns the index-dependent half of Uint64At. Draws from
+// several streams at one index share it, so each further draw costs
+// one mix instead of two: Uint64At(seed, i) == Draw(seed, Counter(i))
+// and Float64At(seed, i) == DrawFloat64(seed, Counter(i)).
+func Counter(index uint64) uint64 { return mix(index*golden + golden) }
+
+// Draw returns the value of the counter-mode stream identified by seed
+// at the index whose Counter is c.
+func Draw(seed, c uint64) uint64 { return mix((seed + golden) ^ c) }
+
+// DrawFloat64 is Float64At over a precomputed Counter.
+func DrawFloat64(seed, c uint64) float64 {
+	// 53 high-quality bits -> [0,1).
+	return float64(Draw(seed, c)>>11) / (1 << 53)
+}
+
 // IntnAt returns a uniform integer in [0, n) from the counter-mode
 // stream. n must be positive.
 //

@@ -39,6 +39,26 @@ func TestUint64AtSeedSensitivity(t *testing.T) {
 	}
 }
 
+// TestCounterDrawSplitsUint64At pins the shared-counter form the
+// workload generator uses: a draw over a precomputed Counter is the
+// same value as the plain counter-mode call.
+func TestCounterDrawSplitsUint64At(t *testing.T) {
+	s := NewStream(99)
+	for i := 0; i < 10000; i++ {
+		seed, index := s.Uint64(), s.Uint64()
+		if i%3 == 0 {
+			index = uint64(i) // small indices, as generated streams use
+		}
+		c := Counter(index)
+		if got, want := Draw(seed, c), Uint64At(seed, index); got != want {
+			t.Fatalf("Draw(%#x, Counter(%d)) = %#x, Uint64At = %#x", seed, index, got, want)
+		}
+		if got, want := DrawFloat64(seed, c), Float64At(seed, index); got != want {
+			t.Fatalf("DrawFloat64(%#x, Counter(%d)) = %v, Float64At = %v", seed, index, got, want)
+		}
+	}
+}
+
 func TestFloat64AtRange(t *testing.T) {
 	f := func(seed, index uint64) bool {
 		v := Float64At(seed, index)

@@ -222,14 +222,14 @@ func RunContext(ctx context.Context, spec Spec) (res *Result, err error) {
 		gens[i] = workload.NewOffset(ts.Profile, ts.Slot)
 		threads[i] = &core.Thread{
 			Name:   ts.Profile.Name,
-			Stream: workload.NewStream(gens[i], ts.StartSeq),
+			Stream: workload.NewStreamIn(ar, gens[i], ts.StartSeq),
 			Events: ts.Events,
 		}
 	}
 
 	// Functional cache warmup (paper: 10M instructions per thread).
-	for i, ts := range spec.Threads {
-		if err := warmCaches(hier, gens[i], ts.StartSeq, spec.Scale.CacheWarm, func() error {
+	for i := range spec.Threads {
+		if err := warmCaches(hier, threads[i].Stream, spec.Scale.CacheWarm, func() error {
 			return checkAborts("cache warmup", 0)
 		}); err != nil {
 			return nil, err
@@ -367,9 +367,10 @@ func RunSingle(machine MachineConfig, ts ThreadSpec, scale Scale) (*Result, erro
 //     PTE lines are L2-resident in steady state) are walked. This is
 //     the functional equivalent of the paper's 10M-instruction warmup
 //     and makes short runs behave like long ones.
-//  2. An instruction-driven pass over n instructions starting at seq,
-//     which restores realistic recency (LRU) ordering and TLB
-//     contents.
+//  2. An instruction-driven pass over the stream's next n
+//     instructions, which restores realistic recency (LRU) ordering
+//     and TLB contents. The pass reads through the stream's block-filled
+//     ring and seeks the stream back to where it started.
 //
 // Accesses are spaced far apart so no two overlap in the MSHRs.
 //
@@ -377,7 +378,7 @@ func RunSingle(machine MachineConfig, ts ThreadSpec, scale Scale) (*Result, erro
 // instructions per thread) so cancellation and deadlines take effect
 // during warmup too; a non-nil abort error stops the warmup and is
 // returned unchanged.
-func warmCaches(h *mem.Hierarchy, g *workload.Generator, seq, n uint64, abort func() error) error {
+func warmCaches(h *mem.Hierarchy, s *workload.Stream, n uint64, abort func() error) error {
 	now := uint64(0)
 	touch := func(addr uint64, fetch bool) {
 		if fetch {
@@ -389,7 +390,7 @@ func warmCaches(h *mem.Hierarchy, g *workload.Generator, seq, n uint64, abort fu
 		}
 		now += 1000
 	}
-	r := g.Regions()
+	r := s.Generator().Regions()
 	for a := r.CodeBase; a < r.CodeBase+r.CodeBytes; a += 64 {
 		touch(a, true)
 	}
@@ -407,13 +408,15 @@ func warmCaches(h *mem.Hierarchy, g *workload.Generator, seq, n uint64, abort fu
 		now += 1000
 	}
 
-	for i := seq; i < seq+n; i++ {
-		if (i-seq)%65536 == 0 {
+	seq := s.Pos()
+	defer s.Seek(seq)
+	for i := uint64(0); i < n; i++ {
+		if i%65536 == 0 {
 			if err := abort(); err != nil {
 				return err
 			}
 		}
-		u := g.At(i)
+		u := s.Next()
 		if u.Seq%16 == 0 {
 			touch(u.PC, true)
 		}

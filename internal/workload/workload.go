@@ -24,6 +24,7 @@ import (
 	"math"
 	"sort"
 
+	"soemt/internal/arena"
 	"soemt/internal/isa"
 	"soemt/internal/rng"
 )
@@ -194,8 +195,10 @@ type Generator struct {
 	dirSeed    uint64
 	siteSeed   uint64 // Sub(dirSeed, "site"), hoisted out of branchTaken
 
-	// Cumulative mix thresholds, ordered as kindOrder.
-	cdf [9]float64
+	// Cumulative mix thresholds, ordered as kindByCount, on the 53-bit
+	// integer scale of the kind draw: draw < kindCut[i] exactly when
+	// the draw's float64 in [0, 1) is below the cumulative fraction.
+	kindCut [9]uint64
 
 	phaseTotal uint64 // sum of phase lengths (0 = no phases)
 
@@ -206,8 +209,10 @@ type Generator struct {
 	codeBase uint64
 }
 
-var kindOrder = [9]isa.Kind{
-	isa.Load, isa.Store, isa.Branch, isa.Mul, isa.Div, isa.FAdd, isa.FMul, isa.FDiv, isa.Pause,
+// kindByCount orders the kinds as the instruction-mix fractions, with
+// the ALU remainder last (see kindAt).
+var kindByCount = [10]isa.Kind{
+	isa.Load, isa.Store, isa.Branch, isa.Mul, isa.Div, isa.FAdd, isa.FMul, isa.FDiv, isa.Pause, isa.ALU,
 }
 
 // New builds a Generator for prof with address space offset 0.
@@ -242,7 +247,10 @@ func NewOffset(prof Profile, slot int) *Generator {
 	acc := 0.0
 	for i, f := range fr {
 		acc += f
-		g.cdf[i] = acc
+		// u = k/2^53 for the integer draw k, so u < acc exactly when
+		// k < acc·2^53 (a power-of-two scaling, exact), that is when
+		// k < ceil(acc·2^53).
+		g.kindCut[i] = uint64(math.Ceil(acc * (1 << 53)))
 	}
 	for _, ph := range prof.Phases {
 		g.phaseTotal += ph.Len
@@ -287,11 +295,13 @@ func (g *Generator) Regions() Regions {
 	}
 }
 
-// phaseAt returns the effective PCold and ChainFrac at seq.
-func (g *Generator) phaseAt(seq uint64) (pCold, chainFrac float64) {
+// phaseAt returns the effective PCold and ChainFrac at seq, and how
+// many positions from seq on (seq included) share them: the distance
+// to the next phase boundary, or ^0 without phases.
+func (g *Generator) phaseAt(seq uint64) (pCold, chainFrac float64, left uint64) {
 	pCold, chainFrac = g.prof.PCold, g.prof.ChainFrac
 	if g.phaseTotal == 0 {
-		return pCold, chainFrac
+		return pCold, chainFrac, ^uint64(0)
 	}
 	pos := seq % g.phaseTotal
 	for _, ph := range g.prof.Phases {
@@ -299,22 +309,30 @@ func (g *Generator) phaseAt(seq uint64) (pCold, chainFrac float64) {
 			// Validate guarantees the scaled values stay in [0, 1], so no
 			// clamping happens here: an out-of-range phase is a
 			// configuration error, not something to hide mid-stream.
-			return pCold * ph.ColdScale, chainFrac * ph.IlpScale
+			return pCold * ph.ColdScale, chainFrac * ph.IlpScale, ph.Len - pos
 		}
 		pos -= ph.Len
 	}
-	return pCold, chainFrac
+	return pCold, chainFrac, ^uint64(0)
 }
 
-// kindAt picks the micro-op kind for seq.
-func (g *Generator) kindAt(seq uint64) isa.Kind {
-	u := rng.Float64At(g.kindSeed, seq)
-	for i, th := range g.cdf {
-		if u < th {
-			return kindOrder[i]
-		}
+// kindAt picks the micro-op kind from the draw counter c of its seq:
+// the first kind whose cumulative threshold lies above the draw, else
+// ALU. The thresholds are non-decreasing, so that kind's index is the
+// count of thresholds at or below the draw. Counting with a sign bit
+// (cut-1-k wraps past 2^63 exactly when k >= cut, as both are below
+// 2^54) keeps the random draw from steering a branch.
+func (g *Generator) kindAt(c uint64) isa.Kind {
+	return g.kindFor(rng.Draw(g.kindSeed, c) >> 11)
+}
+
+// kindFor is kindAt for the 53-bit integer draw k.
+func (g *Generator) kindFor(k uint64) isa.Kind {
+	n := uint64(0)
+	for _, cut := range g.kindCut {
+		n += (cut - 1 - k) >> 63
 	}
-	return isa.ALU
+	return kindByCount[n]
 }
 
 // destReg assigns destination registers in a rotating pattern so that
@@ -346,12 +364,13 @@ const (
 	coldWindow   = 8 << 20
 )
 
-// addrFor computes the data address for a load/store at seq.
-func (g *Generator) addrFor(seq uint64, pCold float64) uint64 {
-	u := rng.Float64At(g.regionSeed, seq)
+// addrFor computes the data address for a load/store at seq, whose
+// draw counter is c.
+func (g *Generator) addrFor(seq, c uint64, pCold float64) uint64 {
+	u := rng.DrawFloat64(g.regionSeed, c)
 	switch {
 	case u < pCold:
-		if rng.Float64At(g.strideSeed, seq) < g.prof.StrideFrac {
+		if rng.DrawFloat64(g.strideSeed, c) < g.prof.StrideFrac {
 			// Sequential walk through the cold region: 8 bytes per
 			// access so 8 consecutive cold refs share a 64B line.
 			return g.coldBase + (seq*8)%g.prof.ColdBytes
@@ -365,33 +384,27 @@ func (g *Generator) addrFor(seq uint64, pCold float64) uint64 {
 		}
 		epoch := seq / coldEpochLen
 		windowBase := (rng.Uint64At(g.addrSeed, ^epoch) % (g.prof.ColdBytes / 64)) * 64
-		off := (rng.Uint64At(g.addrSeed, seq) % (window / 64)) * 64
+		off := (rng.Draw(g.addrSeed, c) % (window / 64)) * 64
 		return g.coldBase + (windowBase+off)%g.prof.ColdBytes
 	case u < pCold+g.prof.PWarm:
-		off := rng.Uint64At(g.addrSeed, seq) % (g.prof.WarmBytes / 8)
+		off := rng.Draw(g.addrSeed, c) % (g.prof.WarmBytes / 8)
 		return g.warmBase + off*8
 	default:
-		off := rng.Uint64At(g.addrSeed, seq) % (g.prof.HotBytes / 8)
+		off := rng.Draw(g.addrSeed, c) % (g.prof.HotBytes / 8)
 		return g.hotBase + off*8
 	}
 }
 
-// pcFor returns the synthetic PC: the code is a loop of LoopLen
-// 4-byte slots.
-func (g *Generator) pcFor(seq uint64) uint64 {
-	return g.codeBase + (seq%g.prof.LoopLen)*4
-}
-
-// branchTaken decides the architectural outcome of the branch at seq.
-// Each site (loop slot) has a fixed bias direction; NoiseFrac of
-// outcomes are random. The loop backedge (last slot) is always taken.
-func (g *Generator) branchTaken(seq uint64) bool {
-	slot := seq % g.prof.LoopLen
+// branchTaken decides the architectural outcome of the branch at loop
+// slot `slot`, whose seq has draw counter c. Each site (loop slot) has
+// a fixed bias direction; NoiseFrac of outcomes are random. The loop
+// backedge (last slot) is always taken.
+func (g *Generator) branchTaken(c, slot uint64) bool {
 	if slot == g.prof.LoopLen-1 {
 		return true
 	}
-	if rng.Float64At(g.noiseSeed, seq) < g.prof.NoiseFrac {
-		return rng.Uint64At(g.dirSeed, seq)&1 == 0
+	if rng.DrawFloat64(g.noiseSeed, c) < g.prof.NoiseFrac {
+		return rng.Draw(g.dirSeed, c)&1 == 0
 	}
 	// Per-site deterministic bias direction.
 	return rng.Float64At(g.siteSeed, slot) < g.prof.TakenBias
@@ -399,9 +412,39 @@ func (g *Generator) branchTaken(seq uint64) bool {
 
 // At returns the micro-op at position seq. It is a pure function.
 func (g *Generator) At(seq uint64) isa.Uop {
-	pCold, chainFrac := g.phaseAt(seq)
-	kind := g.kindAt(seq)
-	u := isa.Uop{Seq: seq, PC: g.pcFor(seq), Kind: kind}
+	pCold, chainFrac, _ := g.phaseAt(seq)
+	var u isa.Uop
+	g.gen(&u, seq, seq%g.prof.LoopLen, pCold, chainFrac)
+	return u
+}
+
+// Fill writes the micro-ops at positions seq, seq+1, ... into dst:
+// dst[i] == At(seq+i). It is At's block form: the phase lookup runs
+// once per phase boundary instead of once per micro-op, and the loop
+// slot advances incrementally instead of by division.
+func (g *Generator) Fill(dst []isa.Uop, seq uint64) {
+	slot := seq % g.prof.LoopLen
+	pCold, chainFrac, left := g.phaseAt(seq)
+	for i := range dst {
+		if left == 0 {
+			pCold, chainFrac, left = g.phaseAt(seq)
+		}
+		g.gen(&dst[i], seq, slot, pCold, chainFrac)
+		seq++
+		if slot++; slot == g.prof.LoopLen {
+			slot = 0
+		}
+		left--
+	}
+}
+
+// gen writes the micro-op at seq (loop slot slot = seq % LoopLen,
+// phase parameters pCold and chainFrac) into u, overwriting every
+// field. Every per-seq draw shares the one counter c.
+func (g *Generator) gen(u *isa.Uop, seq, slot uint64, pCold, chainFrac float64) {
+	c := rng.Counter(seq)
+	kind := g.kindAt(c)
+	*u = isa.Uop{Seq: seq, PC: g.codeBase + slot*4, Kind: kind}
 
 	// The dependence-distance draws are positional (pure functions of
 	// seq), so evaluating them lazily per kind changes no generated
@@ -409,15 +452,15 @@ func (g *Generator) At(seq uint64) isa.Uop {
 	switch kind {
 	case isa.Load:
 		u.Dst = destReg(seq)
-		u.Src1 = srcFor(seq, g.dist1At(seq, chainFrac)) // address base register
+		u.Src1 = srcFor(seq, g.dist1At(c, chainFrac)) // address base register
 		u.Src2 = isa.RegNone
-		u.Addr = g.addrFor(seq, pCold)
+		u.Addr = g.addrFor(seq, c, pCold)
 		u.Size = 8
 	case isa.Store:
 		u.Dst = isa.RegNone
-		u.Src1 = srcFor(seq, g.dist1At(seq, chainFrac)) // data
-		u.Src2 = srcFor(seq, g.dist2At(seq))            // address
-		u.Addr = g.addrFor(seq, pCold)
+		u.Src1 = srcFor(seq, g.dist1At(c, chainFrac)) // data
+		u.Src2 = srcFor(seq, g.dist2At(seq))          // address
+		u.Addr = g.addrFor(seq, c, pCold)
 		u.Size = 8
 	case isa.Pause:
 		u.Dst = isa.RegNone
@@ -425,30 +468,34 @@ func (g *Generator) At(seq uint64) isa.Uop {
 		u.Src2 = isa.RegNone
 	case isa.Branch:
 		u.Dst = isa.RegNone
-		u.Src1 = srcFor(seq, g.dist1At(seq, chainFrac)) // condition
+		u.Src1 = srcFor(seq, g.dist1At(c, chainFrac)) // condition
 		u.Src2 = isa.RegNone
-		u.Taken = g.branchTaken(seq)
+		u.Taken = g.branchTaken(c, slot)
 		if u.Taken {
 			// Taken branches jump within the loop; the backedge
 			// returns to the top.
-			u.Target = g.codeBase + ((seq+1)%g.prof.LoopLen)*4
+			next := slot + 1
+			if next == g.prof.LoopLen {
+				next = 0
+			}
+			u.Target = g.codeBase + next*4
 		} else {
 			u.Target = u.PC + 4
 		}
 	default:
 		u.Dst = destReg(seq)
-		u.Src1 = srcFor(seq, g.dist1At(seq, chainFrac))
+		u.Src1 = srcFor(seq, g.dist1At(c, chainFrac))
 		u.Src2 = srcFor(seq, g.dist2At(seq))
 	}
-	return u
 }
 
-// dist1At draws the first-source dependence distance at seq.
-func (g *Generator) dist1At(seq uint64, chainFrac float64) int {
-	if rng.Float64At(g.chainSeed, seq) < chainFrac {
+// dist1At draws the first-source dependence distance from the draw
+// counter c of its seq.
+func (g *Generator) dist1At(c uint64, chainFrac float64) int {
+	if rng.DrawFloat64(g.chainSeed, c) < chainFrac {
 		return 1
 	}
-	return 1 + rng.IntnAt(g.depSeed, seq, g.prof.DepWindow)
+	return 1 + int(rng.Draw(g.depSeed, c)%uint64(g.prof.DepWindow))
 }
 
 // dist2At draws the second-source dependence distance at seq.
@@ -456,48 +503,79 @@ func (g *Generator) dist2At(seq uint64) int {
 	return 1 + rng.IntnAt(g.depSeed, ^seq, g.prof.DepWindow)
 }
 
+// Stream ring geometry: Next and Peek serve micro-ops from a per-stream
+// ring of streamRing slots, refilled streamBlock micro-ops at a time by
+// Generator.Fill. Blocks are aligned to streamBlock positions, so a
+// block never wraps inside the ring.
+const (
+	streamBlock = 64
+	streamRing  = 256
+)
+
 // Stream is a positioned cursor over a Generator, used by the pipeline
 // front end. Seek supports post-squash rewind.
 //
-// Peek memoizes the micro-op at the cursor so a Peek-then-Next pair
-// generates it once: the pipeline fetch stage peeks the group head for
-// the icache/iTLB access, then consumes the group, and generation is a
-// non-trivial fraction of busy-path time.
+// The stream keeps the most recent streamRing generated micro-ops in a
+// ring (slot seq % streamRing), filled in aligned blocks. Sequential
+// reads cost one block fill per streamBlock micro-ops, a Peek-then-Next
+// pair generates nothing twice, and the re-fetch after a thread switch
+// squashes in-flight micro-ops and seeks back (at most a ROB plus a
+// fetch queue behind the cursor) is served from the ring.
 type Stream struct {
 	gen  *Generator
 	next uint64
 
-	memo    isa.Uop
-	memoSeq uint64
-	hasMemo bool
+	ring   []isa.Uop
+	lo, hi uint64 // ring holds the micro-ops at positions [lo, hi)
 }
 
 // NewStream returns a Stream over g starting at position start.
 func NewStream(g *Generator, start uint64) *Stream {
-	return &Stream{gen: g, next: start}
+	return NewStreamIn(nil, g, start)
+}
+
+// NewStreamIn is NewStream with the ring carved from a (nil = plain
+// heap allocation).
+func NewStreamIn(a *arena.Arena, g *Generator, start uint64) *Stream {
+	return &Stream{gen: g, next: start, ring: arena.Slice[isa.Uop](a, streamRing)}
 }
 
 // Next returns the next micro-op and advances the cursor.
 func (s *Stream) Next() isa.Uop {
-	if s.hasMemo && s.memoSeq == s.next {
-		s.next++
-		s.hasMemo = false
-		return s.memo
-	}
-	u := s.gen.At(s.next)
+	u := s.at()
 	s.next++
-	return u
+	return *u
 }
 
 // Peek returns the micro-op the next call to Next will produce,
 // without advancing the cursor.
-func (s *Stream) Peek() isa.Uop {
-	if !s.hasMemo || s.memoSeq != s.next {
-		s.memo = s.gen.At(s.next)
-		s.memoSeq = s.next
-		s.hasMemo = true
+func (s *Stream) Peek() isa.Uop { return *s.at() }
+
+// at returns the ring slot holding the micro-op at the cursor, filling
+// the ring first when the cursor is outside it.
+func (s *Stream) at() *isa.Uop {
+	if s.next < s.lo || s.next >= s.hi {
+		s.fill()
 	}
-	return s.memo
+	return &s.ring[s.next%streamRing]
+}
+
+// fill brings the cursor's block into the ring. Reading on from the
+// ring's end appends the next block and retires the oldest one once the
+// ring is full; any other position (a seek backward past the ring, or
+// forward beyond its end) restarts the ring at the cursor, filled to
+// the end of its block.
+func (s *Stream) fill() {
+	from := s.next
+	if from != s.hi {
+		s.lo = from
+	}
+	end := from - from%streamBlock + streamBlock
+	s.gen.Fill(s.ring[from%streamRing:(end-1)%streamRing+1], from)
+	s.hi = end
+	if s.hi-s.lo > streamRing {
+		s.lo = s.hi - streamRing
+	}
 }
 
 // Pos returns the sequence number the next call to Next will produce.

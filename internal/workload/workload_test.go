@@ -307,7 +307,7 @@ func TestValidateRejectsBadPhaseScales(t *testing.T) {
 		t.Fatalf("valid phased profile rejected: %v", err)
 	}
 	g := New(p)
-	pc, cf := g.phaseAt(0)
+	pc, cf, _ := g.phaseAt(0)
 	if math.Abs(pc-0.2) > 1e-12 || math.Abs(cf-p.ChainFrac*1.5) > 1e-12 {
 		t.Fatalf("phaseAt = (%v, %v), want exact scaled values", pc, cf)
 	}
