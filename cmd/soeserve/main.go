@@ -1,7 +1,7 @@
 // Command soeserve exposes the SOE experiment engine as an HTTP
-// service: a bounded job queue with backpressure, request coalescing
-// on top of the content-addressed result cache, micro-batched
-// dispatch into a simulation worker pool, and graceful drain on
+// service: bounded admission with backpressure, request coalescing on
+// top of the content-addressed result cache, one pool of -workers
+// simulation slots shared by every job, and graceful drain on
 // SIGINT/SIGTERM.
 //
 //	soeserve -addr :8080 -cache-dir /var/cache/soemt
@@ -36,8 +36,6 @@ func main() {
 		addr         = flag.String("addr", ":8080", "listen address")
 		queueDepth   = flag.Int("queue", 64, "max accepted-but-unfinished jobs; beyond this, submissions get 429")
 		workers      = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		batchSize    = flag.Int("batch", 8, "max jobs per dispatched batch")
-		batchDelay   = flag.Duration("batch-delay", 2*time.Millisecond, "max wait to fill a batch after the first job")
 		cacheDir     = flag.String("cache-dir", "", "persistent result cache directory (content-addressed; see DESIGN.md)")
 		traceCap     = flag.Int("trace-cap", 1<<16, "event-tracer ring capacity for trace-requesting jobs")
 		drainTimeout = flag.Duration("drain-timeout", 2*time.Minute, "max time to finish accepted jobs on shutdown before cancelling them")
@@ -69,8 +67,6 @@ func main() {
 	srv, err := serve.NewServer(serve.Config{
 		QueueDepth:      *queueDepth,
 		Workers:         *workers,
-		BatchSize:       *batchSize,
-		BatchDelay:      *batchDelay,
 		CacheDir:        *cacheDir,
 		TraceCap:        *traceCap,
 		DefaultTier:     *tier,
@@ -134,8 +130,8 @@ func main() {
 		hs.Shutdown(sctx)
 	}()
 
-	log.Printf("soeserve: listening on %s (queue=%d workers=%d batch=%d/%s cache=%q)",
-		*addr, *queueDepth, *workers, *batchSize, *batchDelay, *cacheDir)
+	log.Printf("soeserve: listening on %s (queue=%d workers=%d cache=%q)",
+		*addr, *queueDepth, *workers, *cacheDir)
 	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)
 	}

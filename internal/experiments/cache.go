@@ -74,6 +74,14 @@ type Cache struct {
 	// see internal/faultinject.
 	Faults *faultinject.Injector
 
+	// Workers bounds the simulations this cache runs at once, whoever
+	// asks for them; 0 means GOMAXPROCS. It is read at the cache's
+	// first simulation (see pool).
+	Workers int
+
+	poolOnce sync.Once
+	sims     *simPool // created at the first simulation; see pool
+
 	mu        sync.Mutex
 	mem       map[string]*sim.Result
 	inflight  map[string]*inflightRun
@@ -193,14 +201,6 @@ func (c *Cache) RunSpec(spec sim.Spec) (*sim.Result, error) {
 // cancelled client can never fail an identical request from a live
 // one.
 func (c *Cache) RunSpecContext(ctx context.Context, spec sim.Spec) (*sim.Result, error) {
-	return c.runSpec(ctx, spec, nil)
-}
-
-// runSpec is RunSpecContext with the fresh simulation, if one is
-// needed, run through bound (nil runs it directly). Only the
-// singleflight leader that missed every cache layer calls bound; a
-// Runner uses it to hold a pool slot for exactly that simulation.
-func (c *Cache) runSpec(ctx context.Context, spec sim.Spec, bound func(simulate func() (*sim.Result, error)) (*sim.Result, error)) (*sim.Result, error) {
 	key, err := Fingerprint(spec)
 	if err != nil {
 		return nil, err
@@ -212,13 +212,7 @@ func (c *Cache) runSpec(ctx context.Context, spec sim.Spec, bound func(simulate 
 	if spec.Obs == nil {
 		spec.Obs = &obs.Observer{Metrics: c.m.reg}
 	}
-	simulate := func() (*sim.Result, error) { return c.simulate(ctx, spec) }
-	res, _, err := c.DoContext(ctx, key, func() (*sim.Result, error) {
-		if bound == nil {
-			return simulate()
-		}
-		return bound(simulate)
-	})
+	res, _, err := c.DoContext(ctx, key, func() (*sim.Result, error) { return c.simulate(ctx, spec) })
 	return res, err
 }
 
@@ -227,9 +221,10 @@ func (c *Cache) runSpec(ctx context.Context, spec sim.Spec, bound func(simulate 
 // no store. It exists for traced runs: a cache hit skips the
 // simulation and records nothing (§10 contract), so a live tracer
 // requires an actual run regardless of cache state. soesim's
-// -trace-events path and soeserve's "trace": true jobs use it.
-// Run-lifecycle metrics (runs_started/completed/failed, sim cycles
-// and simulation time) are still counted.
+// -trace-events path and soeserve's "trace": true jobs use it. The
+// run still holds a pool slot, and run-lifecycle metrics
+// (runs_started/completed/failed, sim cycles and simulation time) are
+// still counted.
 func (c *Cache) RunSpecFresh(ctx context.Context, spec sim.Spec) (*sim.Result, error) {
 	if spec.Obs == nil {
 		spec.Obs = &obs.Observer{Metrics: c.m.reg}
@@ -237,23 +232,26 @@ func (c *Cache) RunSpecFresh(ctx context.Context, spec sim.Spec) (*sim.Result, e
 	return c.simulate(ctx, spec)
 }
 
-// simulate runs spec through the configured run function and counts
-// the run in the lifecycle metrics.
+// simulate runs spec through the configured run function while it
+// holds a pool slot, and counts the run in the lifecycle metrics. Every
+// fresh simulation the cache runs goes through here.
 func (c *Cache) simulate(ctx context.Context, spec sim.Spec) (*sim.Result, error) {
-	c.m.runsStarted.Add(1)
-	start := time.Now()
-	r, err := c.run(ctx, spec)
-	if err != nil {
-		c.m.runsFailed.Add(1)
-		return nil, err
-	}
-	c.m.runsCompleted.Add(1)
-	c.m.simTimeNanos.Add(uint64(time.Since(start)))
-	c.m.simCycles.Add(r.WallCycles)
-	if r.Truncated {
-		c.m.truncated.Add(1)
-	}
-	return r, nil
+	return c.pool().run(ctx, func() (*sim.Result, error) {
+		c.m.runsStarted.Add(1)
+		start := time.Now()
+		r, err := c.run(ctx, spec)
+		if err != nil {
+			c.m.runsFailed.Add(1)
+			return nil, err
+		}
+		c.m.runsCompleted.Add(1)
+		c.m.simTimeNanos.Add(uint64(time.Since(start)))
+		c.m.simCycles.Add(r.WallCycles)
+		if r.Truncated {
+			c.m.truncated.Add(1)
+		}
+		return r, nil
+	})
 }
 
 // Do returns the cached result for key, or runs fn exactly once across

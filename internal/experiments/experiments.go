@@ -440,11 +440,12 @@ func ExpTimeShareContext(ctx context.Context, w io.Writer, r *Runner) (*TimeShar
 		mech.Speedup[0], mech.Speedup[1], mech.Fairness)
 
 	// The gcc:eon pair (for its references and the mechanism rows) and
-	// the quota sweep fan out together over the runner's pool, all
+	// the quota sweep fan out together over the cache's pool, all
 	// through the result cache.
 	quotas := []float64{400, 2000, 10000, 50000}
 	var pr *PairRun
 	quotaRuns := make([]*sim.Result, len(quotas))
+	r.markUsed()
 	err = fanOut(ctx, 1+len(quotas), func(ctx context.Context, i int) (err error) {
 		if i == 0 {
 			pr, err = r.RunPairContext(ctx, Pair{"gcc", "eon"})
@@ -452,7 +453,7 @@ func ExpTimeShareContext(ctx context.Context, w io.Writer, r *Runner) (*TimeShar
 		}
 		m := r.Opts.Machine
 		m.Controller.Policy = core.TimeShare{QuotaCycles: quotas[i-1]}
-		quotaRuns[i-1], err = r.runSpec(ctx, sim.Spec{
+		quotaRuns[i-1], err = r.cache.RunSpecContext(ctx, sim.Spec{
 			Machine: m,
 			Threads: []sim.ThreadSpec{
 				{Profile: workload.MustByName("gcc"), Slot: 0},

@@ -141,9 +141,10 @@ func (tf *TraceFit) Spec(name string, rate float64, duration time.Duration) *spe
 // measureProfile runs prof single-threaded through the cache and
 // extracts its marginals by inverting Eq. 1 on the counters.
 func measureProfile(ctx context.Context, r *Runner, prof workload.Profile) (Marginals, error) {
+	r.markUsed()
 	machine := r.Opts.Machine
 	machine.Controller.Policy = core.EventOnly{}
-	res, err := r.runSpec(ctx, sim.Spec{
+	res, err := r.cache.RunSpecContext(ctx, sim.Spec{
 		Machine:  machine,
 		Threads:  []sim.ThreadSpec{{Profile: prof, Slot: 0}},
 		Scale:    r.Opts.Scale,

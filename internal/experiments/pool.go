@@ -10,13 +10,15 @@ import (
 	"soemt/internal/sim"
 )
 
-// The simulation pool (DESIGN.md §7). Every simulation started through
-// a Runner holds one of Runner.Workers slots while it runs. Only a
+// The simulation pool (DESIGN.md §7). Every fresh simulation a Cache
+// runs holds one of Cache.Workers slots while it runs, whoever asked
+// for it: a Runner experiment, RunSpecContext, or RunSpecFresh. Only a
 // singleflight leader that missed every cache layer takes a slot, at
 // the moment it starts simulating: cache hits and followers waiting on
 // another caller's run never hold one, so shared references cannot
 // deadlock the pool even at Workers=1, and slot holders never wait on
-// anything but their own simulation.
+// anything but their own simulation. Runners that share a cache share
+// its pool.
 //
 // The experiments fan their simulations out through fanOut, which
 // dispatches tasks in order: the next task starts only once the
@@ -26,34 +28,27 @@ import (
 // matrix order, and at any width simulations take slots in matrix
 // order.
 
-// simPool is a Runner's bound on concurrent simulations.
+// simPool is a Cache's bound on concurrent simulations.
 type simPool struct {
 	slots  chan struct{}
 	active *obs.Gauge
 }
 
-// pool returns the runner's simulation pool, creating it on first use
+// pool returns the cache's simulation pool, creating it on first use
 // with the Workers value set by then (GOMAXPROCS when unset), and
 // publishes its pool.workers and pool.active gauges.
-func (r *Runner) pool() *simPool {
-	r.poolOnce.Do(func() {
-		w := r.Workers
+func (c *Cache) pool() *simPool {
+	c.poolOnce.Do(func() {
+		c.mu.Lock()
+		w := c.Workers
+		c.mu.Unlock()
 		if w <= 0 {
 			w = runtime.GOMAXPROCS(0)
 		}
-		reg := r.Observability()
-		reg.Gauge("pool.workers").Set(int64(w))
-		r.sims = &simPool{slots: make(chan struct{}, w), active: reg.Gauge("pool.active")}
+		c.m.reg.Gauge("pool.workers").Set(int64(w))
+		c.sims = &simPool{slots: make(chan struct{}, w), active: c.m.reg.Gauge("pool.active")}
 	})
-	return r.sims
-}
-
-// runSpec runs spec through the runner's cache; a fresh simulation
-// holds a pool slot.
-func (r *Runner) runSpec(ctx context.Context, spec sim.Spec) (*sim.Result, error) {
-	return r.cache.runSpec(ctx, spec, func(simulate func() (*sim.Result, error)) (*sim.Result, error) {
-		return r.pool().run(ctx, simulate)
-	})
+	return c.sims
 }
 
 // run takes a slot, reports the calling task started, runs simulate
@@ -117,6 +112,7 @@ func (g *group) stop(err error) {
 type (
 	groupKey   struct{} // ctx value: the innermost *group
 	startedKey struct{} // ctx value: the enclosing task's started signal
+	onStartKey struct{} // ctx value: the hook installed by OnStart
 )
 
 // stopGroup stops the fan-out group ctx belongs to, if any.
@@ -127,11 +123,24 @@ func stopGroup(ctx context.Context, err error) {
 }
 
 // signalStarted tells the fan-out that dispatched ctx's task that the
-// task is under way, if it was dispatched by one.
+// task is under way, if it was dispatched by one, and fires the OnStart
+// hook ctx carries, if any.
 func signalStarted(ctx context.Context) {
 	if started, ok := ctx.Value(startedKey{}).(func()); ok {
 		started()
 	}
+	if hook, ok := ctx.Value(onStartKey{}).(func()); ok {
+		hook()
+	}
+}
+
+// OnStart returns a copy of ctx that calls fn once, when the first
+// simulation run under it holds a pool slot (or a fan-out under it has
+// dispatched every task). Nested fan-outs do not hide it, so a service
+// learns when a request's work began, not when its last task did.
+func OnStart(ctx context.Context, fn func()) context.Context {
+	var once sync.Once
+	return context.WithValue(ctx, onStartKey{}, func() { once.Do(fn) })
 }
 
 // fanOut runs task(ctx, i) for each i in [0, n), each on its own

@@ -183,7 +183,7 @@ func TestPoolCreatedLazily(t *testing.T) {
 	if err := r.SetCacheDir(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
-	if r.sims != nil {
+	if r.cache.sims != nil {
 		t.Fatal("pool created before the first simulation")
 	}
 	r.Workers = 3
@@ -193,7 +193,7 @@ func TestPoolCreatedLazily(t *testing.T) {
 	if _, err := r.STRef("gcc"); err != nil {
 		t.Fatal(err)
 	}
-	if got := cap(r.sims.slots); got != 3 {
+	if got := cap(r.cache.sims.slots); got != 3 {
 		t.Fatalf("pool width %d, want the Workers value set before the first run (3)", got)
 	}
 }

@@ -77,7 +77,7 @@ func (pr *PairRun) Fairness(f float64) float64 {
 // SOESpeedup returns the pair's SOE throughput gain over single
 // thread: IPC_SOE_total / mean(IPC_ST), the paper's footnote-6 metric.
 // It returns 0 when F was never run (e.g. a PairRun assembled by hand
-// from RunPairAt results) or the references are empty.
+// from RunPairAtContext results) or the references are empty.
 func (pr *PairRun) SOESpeedup(f float64) float64 {
 	r := pr.ByF[f]
 	meanST := (pr.ST[0] + pr.ST[1]) / 2
@@ -105,10 +105,11 @@ func (pr *PairRun) NormalizedThroughput(f float64) float64 {
 type Runner struct {
 	Opts Options
 
-	// Workers bounds the number of simulations running at once across
-	// every call on this runner (each simulation is single-threaded and
-	// deterministic); 0 means GOMAXPROCS. It is read when the runner
-	// starts its first simulation.
+	// Workers, when nonzero, sets the width of the cache's simulation
+	// pool (Cache.Workers): the number of simulations running at once
+	// across every call on every runner sharing the cache. It is copied
+	// to the cache at the runner's first run, like Faults, and takes
+	// effect if the cache has not simulated yet.
 	Workers int
 
 	// Faults, if non-nil, deterministically injects faults into the
@@ -122,9 +123,6 @@ type Runner struct {
 	mu    sync.Mutex
 	pairs map[string]*PairRun
 	used  bool // a simulation has been requested through this runner
-
-	poolOnce sync.Once
-	sims     *simPool // created on first use; see pool
 
 	// Progress, if non-nil, receives one line per completed run. It
 	// may be called from multiple goroutines.
@@ -200,14 +198,20 @@ func (r *Runner) logf(format string, args ...interface{}) {
 }
 
 // markUsed freezes the runner's cache configuration (see SetCacheDir)
-// and propagates the fault injector installed by tests.
+// and propagates the pool width and the fault injector installed by
+// tests.
 func (r *Runner) markUsed() {
 	r.mu.Lock()
 	if !r.used {
 		r.used = true
+		// Propagate only set values: runners sharing a cache
+		// (NewRunnerWith) must not clear each other's settings.
+		if r.Workers != 0 {
+			r.cache.mu.Lock()
+			r.cache.Workers = r.Workers
+			r.cache.mu.Unlock()
+		}
 		if r.Faults != nil {
-			// Propagate only an installed injector: runners sharing a
-			// cache (NewRunnerWith) must not clear each other's faults.
 			r.cache.Faults = r.Faults
 		}
 	}
@@ -242,7 +246,7 @@ func (r *Runner) STRefContext(ctx context.Context, name string) (*sim.Result, er
 	r.markUsed()
 	machine := r.Opts.Machine
 	machine.Controller.Policy = core.EventOnly{}
-	res, err := r.runSpec(ctx, sim.Spec{
+	res, err := r.cache.RunSpecContext(ctx, sim.Spec{
 		Machine:  machine,
 		Threads:  []sim.ThreadSpec{{Profile: prof, Slot: 0}},
 		Scale:    r.Opts.Scale,
@@ -264,12 +268,6 @@ func policyFor(f float64) core.Policy {
 	return core.Fairness{F: f}
 }
 
-// RunPairAt runs one pair at one enforcement level through the cache;
-// see RunPairAtContext.
-func (r *Runner) RunPairAt(p Pair, f float64) (*sim.Result, error) {
-	return r.RunPairAtContext(context.Background(), p, f)
-}
-
 // RunPairAtContext runs one pair at one enforcement level through the
 // cache, honoring ctx.
 func (r *Runner) RunPairAtContext(ctx context.Context, p Pair, f float64) (*sim.Result, error) {
@@ -288,7 +286,7 @@ func (r *Runner) RunPairAtContext(ctx context.Context, p Pair, f float64) (*sim.
 	if p.Same() {
 		spec.Threads[1].StartSeq = r.Opts.SameOffset
 	}
-	res, err := r.runSpec(ctx, spec)
+	res, err := r.cache.RunSpecContext(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -306,7 +304,7 @@ func (r *Runner) RunPair(p Pair) (*PairRun, error) {
 
 // RunPairContext runs the full F matrix plus ST references for one
 // pair and memoizes the assembled PairRun. The pair's simulations fan
-// out over the runner's pool. Safe for concurrent use; the underlying
+// out over the cache's pool. Safe for concurrent use; the underlying
 // simulations are deduplicated by the cache. The first failure stops
 // the pair's remaining simulations from starting; a cancelled or
 // failed pair is not memoized — a later call retries.
@@ -353,7 +351,7 @@ func (r *Runner) RunAll() ([]*PairRun, error) {
 }
 
 // RunAllContext runs the full matrix over Pairs(). Every pair fans its
-// simulations out over the runner's pool, so Workers simulations run at
+// simulations out over the cache's pool, so Workers simulations run at
 // once whichever pairs they belong to, and they start in matrix order
 // (simulations are independent and deterministic, so the results do
 // not depend on scheduling). The first error — including a recovered
@@ -368,7 +366,8 @@ func (r *Runner) RunAll() ([]*PairRun, error) {
 func (r *Runner) RunAllContext(ctx context.Context) ([]*PairRun, error) {
 	ps := Pairs()
 	out := make([]*PairRun, len(ps))
-	r.pool() // publish the pool gauges before the first simulation
+	r.markUsed()
+	r.cache.pool() // publish the pool gauges before the first simulation
 	err := fanOut(ctx, len(ps), func(ctx context.Context, i int) (err error) {
 		p := ps[i]
 		defer func() {

@@ -237,7 +237,7 @@ func TestJobRetentionTTL(t *testing.T) {
 // (capped at 60), not a constant.
 func TestRetryAfterDerivedFromDrainRate(t *testing.T) {
 	release := make(chan struct{})
-	s, ts := newTestServer(t, Config{QueueDepth: 2, Workers: 1, BatchSize: 1},
+	s, ts := newTestServer(t, Config{QueueDepth: 2, Workers: 1},
 		func(ctx context.Context, spec sim.Spec) (*sim.Result, error) {
 			select {
 			case <-release:

@@ -1,20 +1,22 @@
-// Package serve implements soeserve, the batching simulation service:
-// the experiment engine behind a bounded job queue with backpressure,
-// a request coalescer layered on the content-addressed result cache,
-// and a micro-batcher feeding a simulation worker pool.
+// Package serve implements soeserve, the simulation service: the
+// experiment engine behind bounded admission with backpressure, a
+// request coalescer layered on the content-addressed result cache, and
+// the cache's one simulation pool.
 //
 // Request flow (DESIGN.md §11):
 //
 //	POST /v1/run ───┐
-//	POST /v1/sweep ─┴▶ coalescer ▶ bounded queue ▶ micro-batcher ▶ worker pool ▶ cache/singleflight ▶ sim
+//	POST /v1/sweep ─┴▶ coalescer ▶ admission ▶ job ▶ cache/singleflight ▶ pool ▶ sim
 //
 // Admission is bounded by QueueDepth accepted-but-unfinished jobs;
 // beyond that, submissions get 429 + Retry-After instead of unbounded
-// memory. Identical concurrent requests coalesce onto one job before
-// the queue, and whatever slips past the coalescer (e.g. a request
-// arriving after its twin started running) is still deduplicated by
-// the cache's singleflight layer — so N identical submissions cost one
-// simulation regardless of timing.
+// memory. An admitted job starts at once; the cache's pool of Workers
+// slots is the one bound on the simulations its jobs run. Identical
+// concurrent requests coalesce onto one job at admission, and whatever
+// slips past the coalescer (e.g. a request arriving after its twin
+// started running) is still deduplicated by the cache's singleflight
+// layer — so N identical submissions cost one simulation regardless of
+// timing.
 //
 // Drain (SIGTERM) stops admission, finishes every accepted job, and —
 // past the drain deadline — cancels in-flight work; interrupted sweeps
@@ -50,14 +52,10 @@ type Config struct {
 	// QueueDepth bounds accepted-but-unfinished jobs (queued plus
 	// running); submissions beyond it are rejected with 429. Default 64.
 	QueueDepth int
-	// Workers bounds concurrent simulations. Default GOMAXPROCS.
+	// Workers bounds concurrent simulations on the node: it sizes the
+	// result cache's simulation pool, which runs, traced runs and sweep
+	// simulations all hold a slot of. Default GOMAXPROCS.
 	Workers int
-	// BatchSize is the largest group of queued jobs the micro-batcher
-	// dispatches to the pool at once. Default 8.
-	BatchSize int
-	// BatchDelay is how long the batcher waits to fill a batch after
-	// the first job arrives. Default 2ms.
-	BatchDelay time.Duration
 	// CacheDir roots the persistent result cache ("" = memory-only).
 	CacheDir string
 	// TraceCap is the tracer ring capacity for trace-requesting jobs.
@@ -96,12 +94,6 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 8
-	}
-	if c.BatchDelay <= 0 {
-		c.BatchDelay = 2 * time.Millisecond
-	}
 	if c.TraceCap <= 0 {
 		c.TraceCap = 1 << 16
 	}
@@ -132,9 +124,6 @@ type Server struct {
 	cache *experiments.Cache
 	reg   *obs.Registry
 
-	queue chan *job
-	sem   chan struct{} // worker-pool slots
-
 	calibration *model.Calibration // immutable after NewServer
 
 	mu        sync.Mutex
@@ -146,11 +135,11 @@ type Server struct {
 	terminal  []terminalRef  // eviction order: oldest finished first
 	execEWMA  float64        // smoothed exact-job execution seconds
 	pending   int            // accepted, not yet terminal
+	queued    int            // accepted, not yet running
 	draining  bool
 	seq       int
 
 	jobWG sync.WaitGroup // accepted jobs
-	wg    sync.WaitGroup // dispatcher
 
 	baseCtx    context.Context // governs job execution (not tied to any request)
 	cancelJobs context.CancelFunc
@@ -160,12 +149,10 @@ type Server struct {
 	rejectedC  *obs.Counter
 	completedC *obs.Counter
 	failedC    *obs.Counter
-	batchesC   *obs.Counter
 	qWaitTotal *obs.Counter
 	qDepth     *obs.Gauge
 	qCap       *obs.Gauge
 	qWaitLast  *obs.Gauge
-	batchLast  *obs.Gauge
 	pendingG   *obs.Gauge
 
 	fastC          *obs.Counter
@@ -181,8 +168,8 @@ type terminalRef struct {
 	at time.Time
 }
 
-// NewServer builds the server, its shared result cache, and starts
-// the batch dispatcher. Stop it with Drain.
+// NewServer builds the server and its shared result cache, whose
+// simulation pool is Workers wide. Stop it with Drain.
 func NewServer(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if _, err := tierFor("", cfg.DefaultTier); err != nil {
@@ -201,6 +188,7 @@ func NewServer(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	cache.Workers = cfg.Workers
 	reg := cache.Observability()
 	baseCtx, cancel := context.WithCancel(context.Background())
 	s := &Server{
@@ -208,8 +196,6 @@ func NewServer(cfg Config) (*Server, error) {
 		cache:       cache,
 		reg:         reg,
 		calibration: cal,
-		queue:       make(chan *job, cfg.QueueDepth),
-		sem:         make(chan struct{}, cfg.Workers),
 		jobs:        make(map[string]*job),
 		active:      make(map[string]*job),
 		runners:     make(map[string]*experiments.Runner),
@@ -222,12 +208,10 @@ func NewServer(cfg Config) (*Server, error) {
 		rejectedC:  reg.Counter("serve.jobs_rejected"),
 		completedC: reg.Counter("serve.jobs_completed"),
 		failedC:    reg.Counter("serve.jobs_failed"),
-		batchesC:   reg.Counter("serve.batches"),
 		qWaitTotal: reg.Counter("serve.queue.wait_us_total"),
 		qDepth:     reg.Gauge("serve.queue.depth"),
 		qCap:       reg.Gauge("serve.queue.capacity"),
 		qWaitLast:  reg.Gauge("serve.queue.wait_last_us"),
-		batchLast:  reg.Gauge("serve.batch.last_size"),
 		pendingG:   reg.Gauge("serve.jobs.pending"),
 
 		fastC:          reg.Counter("serve.fast.answers"),
@@ -239,8 +223,6 @@ func NewServer(cfg Config) (*Server, error) {
 	cache.Logf = s.logf
 	s.qCap.Set(int64(cfg.QueueDepth))
 	s.publishCalibrationMetrics()
-	s.wg.Add(1)
-	go s.dispatch()
 	return s, nil
 }
 
@@ -259,10 +241,10 @@ func (s *Server) logf(format string, args ...interface{}) {
 
 // submit runs admission control under one lock acquisition: reject
 // while draining, coalesce onto a live identical job, enforce the
-// pending bound, otherwise register and enqueue. The channel send
-// cannot block: pending ≤ QueueDepth bounds the jobs that can be in
-// the channel, which has exactly that capacity. On rejection, retry is
-// the derived Retry-After in seconds.
+// pending bound, otherwise register the job and start it. Its
+// goroutine waits, in state queued, for a slot in the cache's
+// simulation pool; pending ≤ QueueDepth bounds those goroutines. On
+// rejection, retry is the derived Retry-After in seconds.
 func (s *Server) submit(j *job) (acc *job, coalesced bool, retry int, err error) {
 	s.mu.Lock()
 	s.evictLocked(time.Now())
@@ -292,28 +274,28 @@ func (s *Server) submit(j *job) (acc *job, coalesced bool, retry int, err error)
 	s.jobs[j.id] = j
 	s.active[j.key] = j
 	s.pending++
+	s.queued++
+	s.qDepth.Set(int64(s.queued))
 	s.jobWG.Add(1)
-	s.queue <- j
 	pending := s.pending
 	s.mu.Unlock()
 
 	s.acceptedC.Inc()
 	s.pendingG.Set(int64(pending))
-	s.qDepth.Set(int64(len(s.queue)))
+	go s.execute(j)
 	return j, false, 0, nil
 }
 
 // retryAfterLocked derives a Retry-After from observed service time:
-// the backlog divided across the worker pool at the smoothed
-// per-job execution time, plus one batching delay. Before any job has
-// finished (no observation yet) it falls back to the 1-second floor,
-// which also keeps TestQueueFullReturns429 deterministic. Caller holds
-// s.mu.
+// the backlog divided across the simulation pool at the smoothed
+// per-job execution time. Before any job has finished (no observation
+// yet) it falls back to the 1-second floor, which also keeps
+// TestQueueFullReturns429 deterministic. Caller holds s.mu.
 func (s *Server) retryAfterLocked() int {
 	if s.execEWMA <= 0 {
 		return 1
 	}
-	secs := float64(s.pending)/float64(s.cfg.Workers)*s.execEWMA + s.cfg.BatchDelay.Seconds()
+	secs := float64(s.pending) / float64(s.cfg.Workers) * s.execEWMA
 	n := int(math.Ceil(secs))
 	if n < 1 {
 		n = 1
@@ -340,67 +322,45 @@ func (s *Server) evictLocked(now time.Time) {
 	}
 }
 
-// dispatch is the micro-batcher: it collects up to BatchSize queued
-// jobs (waiting at most BatchDelay after the first) and hands the
-// batch to the worker pool. Grouping lets a burst of identical or
-// related specs reach the cache's singleflight layer together instead
-// of trickling in one scheduler wakeup at a time.
-func (s *Server) dispatch() {
-	defer s.wg.Done()
-	for {
-		first, ok := <-s.queue
-		if !ok {
-			return
-		}
-		batch := []*job{first}
-		timer := time.NewTimer(s.cfg.BatchDelay)
-	fill:
-		for len(batch) < s.cfg.BatchSize {
-			select {
-			case j, ok := <-s.queue:
-				if !ok {
-					break fill
-				}
-				batch = append(batch, j)
-			case <-timer.C:
-				break fill
-			}
-		}
-		timer.Stop()
-		s.batchesC.Inc()
-		s.batchLast.Set(int64(len(batch)))
-		s.qDepth.Set(int64(len(s.queue)))
-		for _, j := range batch {
-			j := j
-			go func() {
-				s.sem <- struct{}{}
-				defer func() { <-s.sem }()
-				s.execute(j)
-			}()
-		}
-	}
-}
-
+// execute runs an admitted job. The job reads queued until its first
+// simulation holds a pool slot (OnStart) or, when a cache layer answers
+// it without simulating, until that answer arrives.
 func (s *Server) execute(j *job) {
-	j.mu.Lock()
-	wait := time.Since(j.created)
-	j.state = StateRunning
-	j.started = time.Now()
-	j.mu.Unlock()
-	s.qWaitLast.Set(wait.Microseconds())
-	s.qWaitTotal.Add(uint64(wait.Microseconds()))
-
+	ctx := experiments.OnStart(s.baseCtx, func() { s.markRunning(j) })
 	var result any
 	var err error
 	switch j.kind {
 	case "run":
-		result, err = s.executeRun(j)
+		result, err = s.executeRun(ctx, j)
 	case "sweep":
-		result, err = s.executeSweep(j)
+		result, err = s.executeSweep(ctx, j)
 	default:
 		err = fmt.Errorf("serve: unknown job kind %q", j.kind)
 	}
+	s.markRunning(j)
 	s.finish(j, result, err)
+}
+
+// markRunning moves a queued job to running and records its queue
+// wait; it leaves a job that already runs alone.
+func (s *Server) markRunning(j *job) {
+	now := time.Now()
+	j.mu.Lock()
+	if j.state != StateQueued {
+		j.mu.Unlock()
+		return
+	}
+	j.state = StateRunning
+	j.started = now
+	wait := now.Sub(j.created)
+	j.mu.Unlock()
+
+	s.mu.Lock()
+	s.queued--
+	s.qDepth.Set(int64(s.queued))
+	s.mu.Unlock()
+	s.qWaitLast.Set(wait.Microseconds())
+	s.qWaitTotal.Add(uint64(wait.Microseconds()))
 }
 
 // finish moves j to its terminal state and releases its admission
@@ -460,7 +420,7 @@ func (s *Server) finish(j *job, result any, err error) {
 	s.jobWG.Done()
 }
 
-func (s *Server) executeRun(j *job) (any, error) {
+func (s *Server) executeRun(ctx context.Context, j *job) (any, error) {
 	spec := j.spec
 	var res *sim.Result
 	var err error
@@ -470,9 +430,9 @@ func (s *Server) executeRun(j *job) (any, error) {
 		// cache entirely, mirroring soesim -trace-events (DESIGN.md
 		// §10 "cache hits record nothing").
 		spec.Obs = &obs.Observer{Trace: j.tracer, Metrics: s.reg}
-		res, err = s.cache.RunSpecFresh(s.baseCtx, spec)
+		res, err = s.cache.RunSpecFresh(ctx, spec)
 	} else {
-		res, err = s.cache.RunSpecContext(s.baseCtx, spec)
+		res, err = s.cache.RunSpecContext(ctx, spec)
 	}
 	if err != nil {
 		return nil, err
@@ -480,16 +440,16 @@ func (s *Server) executeRun(j *job) (any, error) {
 	return runResultFrom(j.fingerprint, res), nil
 }
 
-func (s *Server) executeSweep(j *job) (any, error) {
+func (s *Server) executeSweep(ctx context.Context, j *job) (any, error) {
 	r, err := s.runnerFor(j.sweep.Scale)
 	if err != nil {
 		return nil, err
 	}
 	out := &SweepResult{}
 	if len(j.sweep.Pairs) == 0 {
-		// Full matrix: the pooled RunAll path distributes the 16 pairs
-		// across the runner's workers.
-		prs, err := r.RunAllContext(s.baseCtx)
+		// Full matrix: the pooled RunAll path fans the 16 pairs out over
+		// the cache's pool.
+		prs, err := r.RunAllContext(ctx)
 		for _, pr := range prs {
 			if pr != nil {
 				out.Rows = append(out.Rows, rowFrom(pr))
@@ -508,7 +468,7 @@ func (s *Server) executeSweep(j *job) (any, error) {
 		if err != nil {
 			return out, err
 		}
-		pr, err := r.RunPairContext(s.baseCtx, experiments.Pair{A: a.Name, B: b.Name})
+		pr, err := r.RunPairContext(ctx, experiments.Pair{A: a.Name, B: b.Name})
 		if err != nil {
 			return s.checkpointSweep(j, out, err)
 		}
@@ -532,7 +492,7 @@ func (s *Server) checkpointSweep(j *job, out *SweepResult, err error) (any, erro
 }
 
 // runnerFor returns the per-scale runner, creating it over the shared
-// cache on first use.
+// cache, and so the shared pool, on first use.
 func (s *Server) runnerFor(scaleName string) (*experiments.Runner, error) {
 	key := scaleName
 	if key == "" {
@@ -552,7 +512,6 @@ func (s *Server) runnerFor(scaleName string) (*experiments.Runner, error) {
 		Scale:      sc,
 		SameOffset: sameOffset(sc),
 	}, s.cache)
-	r.Workers = s.cfg.Workers
 	s.runners[key] = r
 	return r, nil
 }
@@ -590,7 +549,6 @@ func (s *Server) WaitIdle() { s.jobWG.Wait() }
 // Safe to call more than once.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
-	already := s.draining
 	s.draining = true
 	s.mu.Unlock()
 
@@ -607,12 +565,6 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.cancelJobs()
 		<-idle
 	}
-	if !already {
-		// No submitter can be mid-send: sends happen under mu after the
-		// draining check, and draining has been set.
-		close(s.queue)
-	}
-	s.wg.Wait()
 	return err
 }
 
@@ -895,7 +847,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.qDepth.Set(int64(len(s.queue)))
 	if cl := s.Peers(); cl != nil {
 		cl.Snapshot() // refresh cluster.breaker_open / cluster.nodes_* gauges
 	}

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -160,13 +161,12 @@ func TestDistinctSpecsDoNotCoalesce(t *testing.T) {
 	}
 }
 
-// Admission is bounded by pending jobs, not channel occupancy, so the
-// 429 is deterministic: with QueueDepth=2 and a backend that cannot
-// finish, the third submission must bounce no matter how fast the
-// dispatcher drains the channel.
+// Admission is bounded by pending jobs, so the 429 is deterministic:
+// with QueueDepth=2 and a backend that cannot finish, the third
+// submission must bounce.
 func TestQueueFullReturns429(t *testing.T) {
 	release := make(chan struct{})
-	s, ts := newTestServer(t, Config{QueueDepth: 2, Workers: 1, BatchSize: 1},
+	s, ts := newTestServer(t, Config{QueueDepth: 2, Workers: 1},
 		func(ctx context.Context, spec sim.Spec) (*sim.Result, error) {
 			select {
 			case <-release:
@@ -509,5 +509,129 @@ func TestRealSimulationEndToEnd(t *testing.T) {
 	}
 	if fmt.Sprint(counter(s, "cache.mem_hits")) == "0" {
 		t.Fatal("resubmission did not hit the memory cache")
+	}
+}
+
+// TestOnePoolBoundsEveryJobKind submits sweeps at two scales (each on
+// its own per-scale runner), distinct runs and a traced run all at
+// once: Workers bounds the node's concurrent simulations whatever kind
+// of job asks for them, because every one holds a slot of the cache's
+// one pool.
+func TestOnePoolBoundsEveryJobKind(t *testing.T) {
+	var cur, peak atomic.Int64
+	s, ts := newTestServer(t, Config{QueueDepth: 64, Workers: 2},
+		func(ctx context.Context, spec sim.Spec) (*sim.Result, error) {
+			n := cur.Add(1)
+			defer cur.Add(-1)
+			for {
+				p := peak.Load()
+				if n <= p || peak.CompareAndSwap(p, n) {
+					break
+				}
+			}
+			time.Sleep(5 * time.Millisecond)
+			return stubResult(spec), nil
+		})
+
+	type submission struct {
+		path string
+		body any
+	}
+	subs := []submission{
+		{"/v1/sweep", SweepRequest{Pairs: []string{"gcc:eon"}, Scale: "tiny", Tier: TierExact}},
+		{"/v1/sweep", SweepRequest{Pairs: []string{"swim:gzip"}, Scale: "quick", Tier: TierExact}},
+		{"/v1/run", RunRequest{Pair: "mcf:art", F: 0.9, Scale: "tiny", Tier: TierExact, Trace: true}},
+	}
+	for _, f := range []float64{0.1, 0.2, 0.3, 0.4, 0.6, 0.7} {
+		subs = append(subs, submission{"/v1/run", RunRequest{Pair: "mcf:art", F: f, Scale: "tiny", Tier: TierExact}})
+	}
+	var wg sync.WaitGroup
+	for _, sub := range subs {
+		wg.Add(1)
+		go func(sub submission) {
+			defer wg.Done()
+			if code, body, _ := post(t, ts.URL+sub.path, sub.body); code != http.StatusAccepted {
+				t.Errorf("submit %+v: status %d (%v)", sub.body, code, body)
+			}
+		}(sub)
+	}
+	wg.Wait()
+	s.WaitIdle()
+	if t.Failed() {
+		return
+	}
+
+	// 2 sweeps × 6 simulations, 6 runs and 1 traced run.
+	if got := counter(s, "runner.runs_started"); got != 19 {
+		t.Errorf("runs_started = %d, want 19", got)
+	}
+	if p := peak.Load(); p > 2 {
+		t.Errorf("Workers=2: %d simulations ran at once", p)
+	} else if p < 2 {
+		t.Errorf("simulations never overlapped (peak %d)", p)
+	}
+	reg := s.Observability()
+	if w := reg.Gauge("pool.workers").Load(); w != 2 {
+		t.Errorf("pool.workers = %d, want 2", w)
+	}
+	if a := reg.Gauge("pool.active").Load(); a != 0 {
+		t.Errorf("pool.active = %d after WaitIdle, want 0", a)
+	}
+}
+
+// TestQueueWaitCoversPoolWait pins what "queued" means: a job waiting
+// for a pool slot reads queued and counts in serve.queue.depth, and its
+// queue_wait_us covers the whole wait.
+func TestQueueWaitCoversPoolWait(t *testing.T) {
+	entered := make(chan struct{}, 2)
+	release := make(chan struct{})
+	s, ts := newTestServer(t, Config{QueueDepth: 8, Workers: 1},
+		func(ctx context.Context, spec sim.Spec) (*sim.Result, error) {
+			entered <- struct{}{}
+			select {
+			case <-release:
+				return stubResult(spec), nil
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		})
+	depth := s.Observability().Gauge("serve.queue.depth")
+
+	submit := func(bench string) string {
+		t.Helper()
+		code, body, _ := post(t, ts.URL+"/v1/run", RunRequest{Bench: bench, Scale: "tiny", Tier: TierExact})
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %s: status %d (%v)", bench, code, body)
+		}
+		return body["id"].(string)
+	}
+	first := submit("gcc")
+	<-entered // the first job holds the only slot
+	second := submit("eon")
+
+	const hold = 50 * time.Millisecond
+	time.Sleep(hold)
+	if _, jb := get(t, ts.URL+"/v1/jobs/"+first); jb["state"] != StateRunning {
+		t.Fatalf("first job = %v, want running", jb["state"])
+	}
+	if _, jb := get(t, ts.URL+"/v1/jobs/"+second); jb["state"] != StateQueued {
+		t.Fatalf("second job = %v while the first holds the slot, want queued", jb["state"])
+	}
+	if d := depth.Load(); d != 1 {
+		t.Fatalf("serve.queue.depth = %d while one job waits for a slot, want 1", d)
+	}
+
+	close(release)
+	s.WaitIdle()
+	if d := depth.Load(); d != 0 {
+		t.Fatalf("serve.queue.depth = %d after the jobs finished, want 0", d)
+	}
+	_, jb := get(t, ts.URL+"/v1/jobs/"+second)
+	if jb["state"] != StateDone {
+		t.Fatalf("second job = %v, want done", jb["state"])
+	}
+	wait, _ := jb["queue_wait_us"].(float64)
+	if time.Duration(wait)*time.Microsecond < hold {
+		t.Fatalf("second job queue_wait_us = %v, want at least the first job's %v hold", wait, hold)
 	}
 }
