@@ -106,7 +106,7 @@ func nodeURLs(nodes []*testNode) []string {
 
 // startProxy builds a gateway over urls, with inj (may be nil)
 // injected into the proxy→fleet transport.
-func startProxy(t *testing.T, urls []string, inj *faultinject.Injector, cfg Config) (*Proxy, *httptest.Server) {
+func startProxy(t testing.TB, urls []string, inj *faultinject.Injector, cfg Config) (*Proxy, *httptest.Server) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	cl, err := cluster.New(cluster.Config{

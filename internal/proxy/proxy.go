@@ -22,6 +22,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -493,16 +494,12 @@ func (l *latWindow) add(d time.Duration) {
 // hedgeMinSamples observations (not enough signal to hedge on).
 func (l *latWindow) p95() time.Duration {
 	l.mu.Lock()
-	size := l.n
-	if size > len(l.buf) {
-		size = len(l.buf)
-	}
-	samples := make([]time.Duration, size)
-	copy(samples, l.buf[:size])
+	buf, size := l.buf, min(l.n, len(l.buf))
 	l.mu.Unlock()
 	if size < hedgeMinSamples {
 		return 0
 	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+	samples := buf[:size]
+	slices.Sort(samples)
 	return samples[(size*95)/100]
 }

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"soemt/internal/core"
 	"soemt/internal/experiments"
@@ -148,7 +150,7 @@ func (rq RunRequest) buildSpec() (sim.Spec, []string, error) {
 	if (rq.Pair == "") == (rq.Bench == "") {
 		return sim.Spec{}, nil, fmt.Errorf("exactly one of pair or bench must be set")
 	}
-	if rq.F < 0 || rq.F > 1 {
+	if !(rq.F >= 0 && rq.F <= 1) { // also rejects NaN
 		return sim.Spec{}, nil, fmt.Errorf("f must be in [0, 1], got %v", rq.F)
 	}
 	sc, err := scaleByName(rq.Scale)
@@ -193,13 +195,54 @@ func (rq RunRequest) buildSpec() (sim.Spec, []string, error) {
 // coalescing key (minus the |trace suffix — traced and untraced twins
 // should land on the same node). An invalid request fails here the
 // same way it would fail at submit time, so the gateway rejects it
-// with 400 instead of burning a candidate walk.
+// with 400 instead of burning a candidate walk. Keys are memoized per
+// process (routeKeys); a failure to fingerprint a valid spec wraps
+// errFingerprint.
 func (rq RunRequest) RouteKey() (string, error) {
-	spec, _, err := rq.buildSpec()
+	k := rq.specInputs()
+	routeKeys.mu.Lock()
+	fp, ok := routeKeys.m[k]
+	routeKeys.mu.Unlock()
+	if ok {
+		return fp, nil
+	}
+	spec, _, err := k.buildSpec()
 	if err != nil {
 		return "", err
 	}
-	return experiments.Fingerprint(spec)
+	if fp, err = experiments.Fingerprint(spec); err != nil {
+		return "", fmt.Errorf("%w: %v", errFingerprint, err)
+	}
+	routeKeys.mu.Lock()
+	if len(routeKeys.m) < fastCacheCap {
+		routeKeys.m[k] = fp
+	}
+	routeKeys.mu.Unlock()
+	return fp, nil
+}
+
+// errFingerprint marks a RouteKey failure that is the server's fault
+// (the spec built but did not encode), not the request's.
+var errFingerprint = errors.New("fingerprint")
+
+// routeKeys memoizes RouteKey for the whole process, so the proxy and
+// the node each fingerprint a request's spec once rather than on every
+// submission. It is safe because buildSpec reads only the request and
+// immutable built-in tables (profiles, scales, the default machine):
+// equal inputs always lower to the same spec. Only successes are
+// stored, and at fastCacheCap entries new keys are computed but not
+// stored.
+var routeKeys = struct {
+	mu sync.Mutex
+	m  map[RunRequest]string
+}{m: make(map[RunRequest]string)}
+
+// specInputs is the memo key: the request minus the fields buildSpec
+// ignores. A field added to RunRequest later joins the key by default,
+// and one that is not comparable fails to compile.
+func (rq RunRequest) specInputs() RunRequest {
+	rq.Tier, rq.Trace = "", false
+	return rq
 }
 
 // RouteKey returns the routing key for a sweep: the coalescing key,

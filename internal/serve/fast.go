@@ -27,9 +27,11 @@ const (
 	FidelityExact      = "exact"
 )
 
-// fastCacheCap bounds the in-memory fast-answer cache. Entries are
-// tiny (a few floats); the cap only guards against unbounded distinct
-// specs. When full, answers are still served — just recomputed.
+// fastCacheCap bounds the in-memory fast-answer cache and the
+// process-wide route-key memo (routeKeys). Entries are tiny (a few
+// floats, or one key); the cap only guards against unbounded distinct
+// specs. When full, answers and keys are still served — just
+// recomputed.
 const fastCacheCap = 4096
 
 // tierFor validates a request's tier, falling back to the server
@@ -96,16 +98,12 @@ type FastSweepCell struct {
 // prediction is an error here, never a NaN in a JSON response or the
 // fast cache.
 func (s *Server) fastRunAnswer(rq RunRequest, fp string) (*FastRunResult, error) {
-	key := fp + "|fast"
 	s.mu.Lock()
-	cached, ok := s.fastCache[key]
+	cached, ok := s.fastCache[fp]
 	s.mu.Unlock()
 	if ok {
 		s.fastCacheHitsC.Inc()
-		res, _ := cached.(*FastRunResult)
-		if res != nil {
-			return res, nil
-		}
+		return cached, nil
 	}
 
 	start := time.Now()
@@ -153,7 +151,7 @@ func (s *Server) fastRunAnswer(rq RunRequest, fp string) (*FastRunResult, error)
 
 	s.mu.Lock()
 	if len(s.fastCache) < fastCacheCap {
-		s.fastCache[key] = out
+		s.fastCache[fp] = out
 	}
 	s.mu.Unlock()
 	s.fastLatencyC.Add(uint64(time.Since(start).Microseconds()))

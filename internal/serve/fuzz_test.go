@@ -66,7 +66,7 @@ var runSeeds = []string{
 
 // FuzzRunRequest drives arbitrary /v1/run bodies through decode and
 // buildSpec: neither may panic, and every spec buildSpec accepts must
-// pass sim.Spec.Validate and route.
+// pass sim.Spec.Validate and route by its fresh fingerprint.
 func FuzzRunRequest(f *testing.F) {
 	for _, seed := range runSeeds {
 		f.Add([]byte(seed))
@@ -86,8 +86,16 @@ func FuzzRunRequest(f *testing.F) {
 		if len(names) != len(spec.Threads) {
 			t.Fatalf("request %q: %d thread names for %d threads", body, len(names), len(spec.Threads))
 		}
-		if _, err := rq.RouteKey(); err != nil {
-			t.Fatalf("request %q built a spec but has no route key: %v", body, err)
+		want, err := experiments.Fingerprint(spec)
+		if err != nil {
+			t.Fatalf("request %q built a spec that does not fingerprint: %v", body, err)
+		}
+		// Twice: the first call may miss the memo, the second hits it
+		// unless the memo is full.
+		for i := 0; i < 2; i++ {
+			if got, err := rq.RouteKey(); err != nil || got != want {
+				t.Fatalf("request %q: RouteKey = %q, %v; want the fresh fingerprint %q", body, got, err, want)
+			}
 		}
 	})
 }

@@ -131,11 +131,11 @@ type Server struct {
 	jobs      map[string]*job
 	active    map[string]*job // coalescing key -> non-terminal job
 	runners   map[string]*experiments.Runner
-	fastCache map[string]any // fingerprint+"|fast" -> analytical answer
-	terminal  []terminalRef  // eviction order: oldest finished first
-	execEWMA  float64        // smoothed exact-job execution seconds
-	pending   int            // accepted, not yet terminal
-	queued    int            // accepted, not yet running
+	fastCache map[string]*FastRunResult // fingerprint -> analytical answer
+	terminal  []terminalRef             // eviction order: oldest finished first
+	execEWMA  float64                   // smoothed exact-job execution seconds
+	pending   int                       // accepted, not yet terminal
+	queued    int                       // accepted, not yet running
 	draining  bool
 	seq       int
 
@@ -199,7 +199,7 @@ func NewServer(cfg Config) (*Server, error) {
 		jobs:        make(map[string]*job),
 		active:      make(map[string]*job),
 		runners:     make(map[string]*experiments.Runner),
-		fastCache:   make(map[string]any),
+		fastCache:   make(map[string]*FastRunResult),
 		baseCtx:     baseCtx,
 		cancelJobs:  cancel,
 
@@ -670,14 +670,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			"tier=fast cannot trace: the analytical model runs no simulation")
 		return
 	}
-	spec, names, err := rq.buildSpec()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	fp, err := rq.RouteKey()
+	if errors.Is(err, errFingerprint) {
+		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	fp, err := experiments.Fingerprint(spec)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "fingerprint: %v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
@@ -702,6 +701,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	spec, names, err := rq.buildSpec()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	j := &job{
 		kind:        "run",
 		key:         fp,
