@@ -8,7 +8,7 @@
 #   ci/coverage_ratchet.sh --update   # re-record ci/coverage_baseline.txt
 #
 # The gate runs `go test -short` so timing-sensitive measurements (e.g.
-# the observability overhead scenario in internal/perf) are skipped and
+# the observability overhead test in internal/sim) are skipped and
 # the number is stable across runners; the baseline is recorded under
 # the same flags.
 set -euo pipefail

@@ -43,7 +43,7 @@ func main() {
 	opts := experiments.DefaultOptions()
 	switch *scale {
 	case "tiny":
-		opts.Scale = sim.Scale{CacheWarm: 50_000, Warm: 50_000, Measure: 250_000, MaxCycles: 50_000_000}
+		opts.Scale = sim.TinyScale()
 		opts.SameOffset = 50_000
 	case "quick":
 		// defaults

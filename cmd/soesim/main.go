@@ -34,7 +34,6 @@ import (
 	"soemt/internal/core"
 	"soemt/internal/experiments"
 	"soemt/internal/obs"
-	"soemt/internal/perf"
 	"soemt/internal/pipeline"
 	"soemt/internal/sim"
 	"soemt/internal/stats"
@@ -70,7 +69,6 @@ func main() {
 		stallCap   = flag.Uint64("stall-cycles", 0, "abort a run making no forward progress for this many cycles (0 = default watchdog)")
 		cycleRef   = flag.Bool("cycle-by-cycle", false, "disable the idle fast-forward and execute every cycle (reference engine)")
 		pprofOut   = flag.String("pprof", "", "write a CPU profile of the simulation to this file")
-		benchDir   = flag.String("bench-json", "", "record run wall-time, cycles/sec and allocations to BENCH_<n>.json in this directory (bypass -cache-dir when benchmarking)")
 		traceOut   = flag.String("trace-events", "", "write a Chrome trace_event JSON of the run to this file (open in chrome://tracing or Perfetto); forces a fresh simulation, bypassing the result cache")
 		traceCSV   = flag.String("trace-csv", "", "write the raw controller event stream as CSV to this file; forces a fresh simulation, bypassing the result cache")
 		obsMetrics = flag.Bool("obs-metrics", false, "dump the observability metrics registry (switch causes, skip cycles, pipeline and cache counters) to stderr on exit")
@@ -93,7 +91,7 @@ func main() {
 		return
 	}
 
-	scale, err := parseScale(*scaleArg)
+	scale, err := sim.ScaleByName(*scaleArg)
 	if err != nil {
 		fatal(err)
 	}
@@ -200,37 +198,12 @@ func main() {
 		spec.Obs = &obs.Observer{Trace: tracer, Metrics: cache.Observability()}
 	}
 	var res *sim.Result
-	run := func() (uint64, uint64, error) {
-		var r *sim.Result
-		var err error
-		if tracing {
-			r, err = sim.RunContext(ctx, spec)
-		} else {
-			r, err = cache.RunSpecContext(ctx, spec)
-		}
-		if err != nil {
-			return 0, 0, err
-		}
-		res = r
-		var instrs uint64
-		for _, th := range r.Threads {
-			instrs += th.Counters.Instrs
-		}
-		return r.WallCycles, instrs, nil
+	if tracing {
+		res, err = sim.RunContext(ctx, spec)
+	} else {
+		res, err = cache.RunSpecContext(ctx, spec)
 	}
-	if *benchDir != "" {
-		report := perf.NewReport(*scaleArg)
-		entry, err := perf.Measure(*threadsArg, spec.Engine, run)
-		if err != nil {
-			exitErr(err)
-		}
-		report.Add(entry)
-		path, err := report.WriteNumbered(*benchDir)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "soesim: wrote %s (%.3fs, %.0f cycles/s)\n", path, entry.Seconds, entry.CyclesPerSec)
-	} else if _, _, err := run(); err != nil {
+	if err != nil {
 		exitErr(err)
 	}
 	if res.Truncated {
@@ -305,18 +278,6 @@ func main() {
 		fmt.Printf("fairness (Eq. 4): %.3f   weighted speedup: %.3f   harmonic: %.3f\n",
 			core.FairnessMetric(sp), core.WeightedSpeedup(sp), core.HarmonicFairness(sp))
 	}
-}
-
-func parseScale(s string) (sim.Scale, error) {
-	switch s {
-	case "tiny":
-		return sim.Scale{CacheWarm: 50_000, Warm: 50_000, Measure: 250_000, MaxCycles: 50_000_000}, nil
-	case "quick":
-		return sim.QuickScale(), nil
-	case "paper":
-		return sim.PaperScale(), nil
-	}
-	return sim.Scale{}, fmt.Errorf("unknown scale %q", s)
 }
 
 // parseWeights parses a comma-separated weight list; empty means nil

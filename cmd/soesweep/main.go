@@ -55,7 +55,7 @@ func main() {
 	)
 	flag.Parse()
 
-	sc, err := parseScale(*scale)
+	sc, err := sim.ScaleByName(*scale)
 	if err != nil {
 		fatal(err)
 	}
@@ -152,18 +152,6 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "soesweep:", err)
 	os.Exit(1)
-}
-
-func parseScale(s string) (sim.Scale, error) {
-	switch s {
-	case "tiny":
-		return sim.Scale{CacheWarm: 50_000, Warm: 50_000, Measure: 250_000, MaxCycles: 50_000_000}, nil
-	case "quick":
-		return sim.QuickScale(), nil
-	case "paper":
-		return sim.PaperScale(), nil
-	}
-	return sim.Scale{}, fmt.Errorf("unknown scale %q", s)
 }
 
 func parseValues(s, def string) []float64 {

@@ -2,7 +2,6 @@ package proxy
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -62,23 +61,27 @@ var proxySeeds = []struct {
 	{true, `{"pairs":["gcc"]}`},
 	{true, `{"pairs":"gcc:eon"}`},
 	{false, `{"pair":"gcc:eon"`},
+	{false, `{"pair":"gcc:eon","f":0.5,"tier":"fast","x":1}`},
+	{false, `{"pair":"gcc:eon","f":0.5,"tier":"fast"} {}`},
+	{false, `{"pair":"gcc:eon","f":0.5,"tier":"fast"}` + "\n\t "},
 	{false, `null`},
 	{true, ``},
 }
 
 // FuzzProxySubmit posts arbitrary bodies to the gateway's /v1/run and
 // /v1/sweep, backed by one recording node. The gateway must not
-// panic; a body it rejects gets 400 or 413 and never reaches the node;
-// a body it forwards reaches the node unchanged, and a forwarded run
-// decodes to a request with a route key.
+// panic; it forwards a body iff the shared request decoder accepts it
+// and it has a route key; a body it rejects gets 400 or 413 and never
+// reaches the node; a body it forwards reaches the node unchanged.
 func FuzzProxySubmit(f *testing.F) {
 	for _, seed := range proxySeeds {
 		f.Add(seed.sweep, []byte(seed.body))
 	}
+	const maxBody = 4 << 10
 	node := &recordingNode{}
 	nts := httptest.NewServer(node)
 	f.Cleanup(nts.Close)
-	p, _ := startProxy(f, []string{nts.URL}, nil, Config{MaxBodyBytes: 4 << 10})
+	p, _ := startProxy(f, []string{nts.URL}, nil, Config{MaxBodyBytes: maxBody})
 	h := p.Handler()
 
 	f.Fuzz(func(t *testing.T, sweep bool, body []byte) {
@@ -90,6 +93,10 @@ func FuzzProxySubmit(f *testing.F) {
 		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
 		subs := node.take()
 
+		routable := len(body) <= maxBody && routeKey(sweep, body) == nil
+		if forwarded := w.Code == http.StatusOK; forwarded != routable {
+			t.Fatalf("%s %q: status %d (%s), but the decoder and route key say forwardable=%v", path, body, w.Code, w.Body, routable)
+		}
 		if w.Code != http.StatusOK {
 			if w.Code != http.StatusBadRequest && w.Code != http.StatusRequestEntityTooLarge {
 				t.Fatalf("%s %q: status %d (%s), want 200, 400 or 413", path, body, w.Code, w.Body)
@@ -102,22 +109,24 @@ func FuzzProxySubmit(f *testing.F) {
 		if len(subs) != 1 || subs[0].path != path || !bytes.Equal(subs[0].body, body) {
 			t.Fatalf("%s %q: answered 200 but the node saw %d submission(s) %+v, want the body once", path, body, len(subs), subs)
 		}
-		if sweep {
-			var rq serve.SweepRequest
-			if err := json.Unmarshal(subs[0].body, &rq); err != nil {
-				t.Fatalf("forwarded sweep %q does not decode: %v", body, err)
-			}
-			if _, err := rq.RouteKey(); err != nil {
-				t.Fatalf("forwarded sweep %q has no route key: %v", body, err)
-			}
-			return
-		}
-		var rq serve.RunRequest
-		if err := json.Unmarshal(subs[0].body, &rq); err != nil {
-			t.Fatalf("forwarded run %q does not decode: %v", body, err)
-		}
-		if _, err := rq.RouteKey(); err != nil {
-			t.Fatalf("forwarded run %q has no route key: %v", body, err)
-		}
 	})
+}
+
+// routeKey decodes body with the shared request decoder and derives
+// its route key, the two checks a body must pass to be forwarded.
+func routeKey(sweep bool, body []byte) error {
+	if sweep {
+		var rq serve.SweepRequest
+		if err := serve.DecodeRequest(bytes.NewReader(body), &rq); err != nil {
+			return err
+		}
+		_, err := rq.RouteKey()
+		return err
+	}
+	var rq serve.RunRequest
+	if err := serve.DecodeRequest(bytes.NewReader(body), &rq); err != nil {
+		return err
+	}
+	_, err := rq.RouteKey()
+	return err
 }

@@ -16,6 +16,7 @@
 package proxy
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -217,7 +218,7 @@ func (p *Proxy) handleSubmit(w http.ResponseWriter, r *http.Request, kind string
 	switch kind {
 	case "run":
 		var rq serve.RunRequest
-		if err := json.Unmarshal(body, &rq); err != nil {
+		if err := serve.DecodeRequest(bytes.NewReader(body), &rq); err != nil {
 			writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 			return
 		}
@@ -228,7 +229,7 @@ func (p *Proxy) handleSubmit(w http.ResponseWriter, r *http.Request, kind string
 		tier = rq.Tier
 	default:
 		var rq serve.SweepRequest
-		if err := json.Unmarshal(body, &rq); err != nil {
+		if err := serve.DecodeRequest(bytes.NewReader(body), &rq); err != nil {
 			writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 			return
 		}

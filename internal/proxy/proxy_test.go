@@ -264,3 +264,37 @@ func TestProxyRejectsOversizedAndMalformedBodies(t *testing.T) {
 		t.Fatalf("invalid spec = %d, want 400 from the gateway (no candidate walk)", resp.StatusCode)
 	}
 }
+
+// TestProxyDecodesLikeTheNode posts bodies the two decoders once
+// disagreed on to the proxy and straight to a node: both must give the
+// same status, and a body the proxy rejects must never be forwarded.
+func TestProxyDecodesLikeTheNode(t *testing.T) {
+	nodes := startNodes(t, 1)
+	p, pts := startProxy(t, nodeURLs(nodes), nil, Config{})
+	post := func(url, body string) int {
+		resp, err := http.Post(url, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, body := range []string{
+		`{"pair":"gcc:eon","f":0.5,"tier":"fast","x":1}`,
+		`{"pair":"gcc:eon","f":0.5,"tier":"fast"} {}`,
+	} {
+		forwarded := p.Observability().Counter("proxy.forwarded").Load()
+		viaProxy := post(pts.URL+"/v1/run", body)
+		direct := post(nodes[0].url()+"/v1/run", body)
+		if viaProxy != direct {
+			t.Errorf("%s: proxy answered %d, node %d", body, viaProxy, direct)
+		}
+		if viaProxy != http.StatusBadRequest {
+			t.Errorf("%s: proxy answered %d, want 400", body, viaProxy)
+		}
+		if got := p.Observability().Counter("proxy.forwarded").Load(); got != forwarded {
+			t.Errorf("%s: rejected body was forwarded (proxy.forwarded %d -> %d)", body, forwarded, got)
+		}
+	}
+}

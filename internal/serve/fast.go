@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"soemt/internal/experiments"
 	"soemt/internal/model"
@@ -106,7 +105,6 @@ func (s *Server) fastRunAnswer(rq RunRequest, fp string) (*FastRunResult, error)
 		return cached, nil
 	}
 
-	start := time.Now()
 	cal := s.calibration
 	out := &FastRunResult{
 		Fingerprint: fp,
@@ -154,7 +152,6 @@ func (s *Server) fastRunAnswer(rq RunRequest, fp string) (*FastRunResult, error)
 		s.fastCache[fp] = out
 	}
 	s.mu.Unlock()
-	s.fastLatencyC.Add(uint64(time.Since(start).Microseconds()))
 	return out, nil
 }
 
@@ -162,7 +159,6 @@ func (s *Server) fastRunAnswer(rq RunRequest, fp string) (*FastRunResult, error)
 // Pairs means the paper's full 16-pair matrix, mirroring the exact
 // path.
 func (s *Server) fastSweepAnswer(rq SweepRequest) (*FastSweepResult, error) {
-	start := time.Now()
 	names := rq.Pairs
 	if len(names) == 0 {
 		for _, p := range experiments.Pairs() {
@@ -204,7 +200,6 @@ func (s *Server) fastSweepAnswer(rq SweepRequest) (*FastSweepResult, error) {
 		}
 		out.Rows = append(out.Rows, row)
 	}
-	s.fastLatencyC.Add(uint64(time.Since(start).Microseconds()))
 	return out, nil
 }
 

@@ -84,6 +84,39 @@ func TestFastTierAnswersWithoutSimulation(t *testing.T) {
 	}
 }
 
+// TestFastLatencyCountsEveryAnswer: serve.fast.latency_us_total is
+// handler time summed over every fast answer, so each answer served
+// from the fast cache adds to it too, as does each fast sweep.
+func TestFastLatencyCountsEveryAnswer(t *testing.T) {
+	s, ts := newTestServer(t, Config{QueueDepth: 4, Workers: 1}, failingStub(t))
+	rq := RunRequest{Pair: "gcc:eon", F: 0.5, Scale: "tiny", Tier: TierFast}
+	if code, _, _ := post(t, ts.URL+"/v1/run", rq); code != http.StatusOK {
+		t.Fatalf("fast run: status %d", code)
+	}
+	for i := 0; i < 5; i++ {
+		hits, total := counter(s, "serve.fast.cache_hits"), counter(s, "serve.fast.latency_us_total")
+		if code, _, _ := post(t, ts.URL+"/v1/run", rq); code != http.StatusOK {
+			t.Fatalf("repeat fast run: status %d", code)
+		}
+		if got := counter(s, "serve.fast.cache_hits"); got != hits+1 {
+			t.Fatalf("repeat %d: serve.fast.cache_hits %d -> %d, want a hit", i, hits, got)
+		}
+		if got := counter(s, "serve.fast.latency_us_total"); got <= total {
+			t.Errorf("cache-hit answer %d added nothing to serve.fast.latency_us_total (%d)", i, got)
+		}
+	}
+	total := counter(s, "serve.fast.latency_us_total")
+	if code, _, _ := post(t, ts.URL+"/v1/sweep", SweepRequest{Pairs: []string{"gcc:eon"}, Tier: TierFast}); code != http.StatusOK {
+		t.Fatalf("fast sweep: status %d", code)
+	}
+	if got := counter(s, "serve.fast.latency_us_total"); got <= total {
+		t.Errorf("fast sweep added nothing to serve.fast.latency_us_total (%d)", got)
+	}
+	if got := counter(s, "serve.fast.answers"); got != 7 {
+		t.Errorf("serve.fast.answers = %d, want 7", got)
+	}
+}
+
 // TestAutoTierRefinesInPlace: tier=auto returns the analytical answer
 // in the 202 body, the job serves it while the simulation runs, and
 // GET /v1/jobs/{id} flips to fidelity=exact with the simulated result

@@ -59,6 +59,7 @@ var runSeeds = []string{
 	`{"f":"0.5"}`,
 	`{"nope":1}`,
 	`{"pair":"gcc:eon"`,
+	`{"pair":"gcc:eon","f":0.5,"tier":"fast"} {}`,
 	`null`,
 	`[]`,
 	``,

@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"runtime"
@@ -603,15 +604,32 @@ func writeError(w http.ResponseWriter, status int, format string, args ...interf
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// DecodeRequest parses one JSON request body into v: unknown fields
+// and anything but whitespace after the first value are errors. The
+// node and the proxy both decode with it, so the proxy forwards
+// exactly the bodies a node accepts.
+func DecodeRequest(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return nil
+	case err != nil:
+		return fmt.Errorf("after the request value: %w", err)
+	}
+	return errors.New("unexpected data after the request value")
+}
+
 // decode parses a JSON request body bounded by Config.MaxBodyBytes.
 // An over-limit body is a deterministic 413 (not a parse-dependent
 // 400): MaxBytesReader stops reading at the bound, so a client
 // streaming an oversized sweep cannot hold memory or mask the real
 // cause in a JSON syntax error.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := DecodeRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge,
@@ -656,6 +674,7 @@ func (s *Server) accept(w http.ResponseWriter, j *job, fast any) {
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
 	var rq RunRequest
 	if !s.decode(w, r, &rq) {
 		return
@@ -693,7 +712,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			s.logf("fast answer unavailable for %s: %v", fp, err)
 			fast = nil
 		} else {
-			s.fastC.Inc()
+			defer s.countFast(start)
 		}
 		if tier == TierFast {
 			writeJSON(w, http.StatusOK, fast)
@@ -726,6 +745,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.accept(w, j, anyOrNil(fast))
 }
 
+// countFast records one fast answer and its handler time, from
+// request entry to the response written, rounded up to whole
+// microseconds.
+func (s *Server) countFast(start time.Time) {
+	s.fastC.Inc()
+	s.fastLatencyC.Add(uint64((time.Since(start) + time.Microsecond - 1) / time.Microsecond))
+}
+
 // anyOrNil keeps a typed-nil *FastRunResult from becoming a non-nil
 // interface in the 202 body.
 func anyOrNil(fast *FastRunResult) any {
@@ -736,6 +763,7 @@ func anyOrNil(fast *FastRunResult) any {
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
 	var rq SweepRequest
 	if !s.decode(w, r, &rq) {
 		return
@@ -762,7 +790,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			s.logf("fast sweep unavailable: %v", err)
 			fast = nil
 		} else {
-			s.fastC.Inc()
+			defer s.countFast(start)
 		}
 		if tier == TierFast {
 			writeJSON(w, http.StatusOK, fast)

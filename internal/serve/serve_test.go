@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -473,6 +475,32 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 	if code, _ := get(t, ts.URL+"/healthz"); code != http.StatusServiceUnavailable {
 		t.Fatalf("healthz while draining: status %d, want 503", code)
+	}
+}
+
+// TestDecodeRequest pins the shared decoder's contract: one JSON value,
+// optional trailing whitespace, no unknown fields, and an over-limit
+// body still reported as *http.MaxBytesError (a 413, not a 400).
+func TestDecodeRequest(t *testing.T) {
+	for body, ok := range map[string]bool{
+		`{"pair":"gcc:eon","f":0.5}`:  true,
+		"{\"pair\":\"gcc:eon\"}\n\t ": true,
+		`{"pair":"gcc:eon","x":1}`:    false,
+		`{"pair":"gcc:eon"} {}`:       false,
+		`{"pair":"gcc:eon"}}`:         false,
+		`{"pair":"gcc:eon"} 1`:        false,
+		``:                            false,
+	} {
+		var rq RunRequest
+		if err := DecodeRequest(strings.NewReader(body), &rq); (err == nil) != ok {
+			t.Errorf("DecodeRequest(%q) = %v, want accepted=%v", body, err, ok)
+		}
+	}
+	body := `{"pair":"gcc:eon"}` + strings.Repeat(" ", 64)
+	r := http.MaxBytesReader(httptest.NewRecorder(), io.NopCloser(strings.NewReader(body)), 32)
+	var tooBig *http.MaxBytesError
+	if err := DecodeRequest(r, &RunRequest{}); !errors.As(err, &tooBig) {
+		t.Errorf("over-limit trailing bytes: err %v, want *http.MaxBytesError", err)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 	"soemt/internal/workload"
 )
 
-// ffScale is deliberately smaller than tinyScale: every matrix entry
+// ffScale is deliberately smaller than unitScale: every matrix entry
 // runs twice (fast-forward and reference engine), and the reference
 // engine is the slow one by design.
 func ffScale() Scale {

@@ -59,6 +59,26 @@ func QuickScale() Scale {
 	return Scale{CacheWarm: 300_000, Warm: 150_000, Measure: 700_000, MaxCycles: 60_000_000}
 }
 
+// TinyScale is the smallest protocol the tools offer: seconds per
+// pair, for CI digests, smoke runs and the committed hypothesis
+// findings.
+func TinyScale() Scale {
+	return Scale{CacheWarm: 50_000, Warm: 50_000, Measure: 250_000, MaxCycles: 50_000_000}
+}
+
+// ScaleByName resolves a protocol name: "tiny", "quick" or "paper".
+func ScaleByName(name string) (Scale, error) {
+	switch name {
+	case "tiny":
+		return TinyScale(), nil
+	case "quick":
+		return QuickScale(), nil
+	case "paper":
+		return PaperScale(), nil
+	}
+	return Scale{}, fmt.Errorf("unknown scale %q (want tiny, quick or paper)", name)
+}
+
 // ThreadSpec describes one thread of a run.
 type ThreadSpec struct {
 	Profile  workload.Profile

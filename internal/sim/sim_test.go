@@ -9,9 +9,9 @@ import (
 	"soemt/internal/workload"
 )
 
-// tinyScale keeps unit tests fast; shape checks use larger runs in the
+// unitScale keeps unit tests fast; shape checks use larger runs in the
 // experiments package and benches.
-func tinyScale() Scale {
+func unitScale() Scale {
 	return Scale{CacheWarm: 50_000, Warm: 30_000, Measure: 120_000, MaxCycles: 20_000_000}
 }
 
@@ -24,7 +24,7 @@ func pairSpec(a, b string, policy core.Policy) Spec {
 			{Profile: workload.MustByName(a), Slot: 0},
 			{Profile: workload.MustByName(b), Slot: 1, StartSeq: ifSame(a, b)},
 		},
-		Scale: tinyScale(),
+		Scale: unitScale(),
 	}
 }
 
@@ -39,7 +39,7 @@ func ifSame(a, b string) uint64 {
 
 func TestRunSingleProducesSaneIPC(t *testing.T) {
 	m := DefaultMachine()
-	res, err := RunSingle(m, ThreadSpec{Profile: workload.MustByName("eon"), Slot: 0}, tinyScale())
+	res, err := RunSingle(m, ThreadSpec{Profile: workload.MustByName("eon"), Slot: 0}, unitScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestSOEPairBeatsWorseSingle(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := DefaultMachine()
-	gccAlone, err := RunSingle(m, ThreadSpec{Profile: workload.MustByName("gcc"), Slot: 0}, tinyScale())
+	gccAlone, err := RunSingle(m, ThreadSpec{Profile: workload.MustByName("gcc"), Slot: 0}, unitScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestResultAccounting(t *testing.T) {
 	}
 	var sum float64
 	for _, tr := range res.Threads {
-		if tr.Counters.Instrs < tinyScale().Measure {
+		if tr.Counters.Instrs < unitScale().Measure {
 			t.Errorf("%s retired %d < target", tr.Name, tr.Counters.Instrs)
 		}
 		if tr.Counters.Cycles == 0 || tr.Counters.Misses == 0 {
@@ -125,7 +125,7 @@ func TestResultAccounting(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	m := DefaultMachine()
-	if _, err := Run(Spec{Machine: m, Scale: tinyScale()}); err == nil {
+	if _, err := Run(Spec{Machine: m, Scale: unitScale()}); err == nil {
 		t.Error("no threads must fail")
 	}
 	sp := pairSpec("gcc", "eon", core.EventOnly{})
@@ -190,6 +190,27 @@ func TestPaperAndQuickScales(t *testing.T) {
 	q := QuickScale()
 	if q.Measure == 0 || q.Measure >= p.Measure {
 		t.Error("quick scale must be a reduction")
+	}
+}
+
+func TestScaleByName(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Scale
+	}{
+		{"tiny", Scale{CacheWarm: 50_000, Warm: 50_000, Measure: 250_000, MaxCycles: 50_000_000}},
+		{"quick", QuickScale()},
+		{"paper", PaperScale()},
+	} {
+		got, err := ScaleByName(tc.name)
+		if err != nil || got != tc.want {
+			t.Errorf("ScaleByName(%q) = %+v, %v; want %+v", tc.name, got, err, tc.want)
+		}
+	}
+	for _, bad := range []string{"", "Tiny", "huge"} {
+		if _, err := ScaleByName(bad); err == nil || !strings.Contains(err.Error(), "unknown scale") {
+			t.Errorf("ScaleByName(%q) error = %v, want unknown scale", bad, err)
+		}
 	}
 }
 

@@ -80,7 +80,7 @@ func TestWallClockWatchdog(t *testing.T) {
 func TestRunContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := RunContext(ctx, singleSpec("gcc", tinyScale()))
+	res, err := RunContext(ctx, singleSpec("gcc", unitScale()))
 	if res != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got (%v, %v)", res, err)
 	}
@@ -163,7 +163,7 @@ func TestPanicBoundaryRecoversToError(t *testing.T) {
 	testHookPostBuild = func() { panic("injected invariant violation") }
 	defer func() { testHookPostBuild = nil }()
 
-	res, err := Run(singleSpec("gcc", tinyScale()))
+	res, err := Run(singleSpec("gcc", unitScale()))
 	if res != nil || err == nil {
 		t.Fatalf("want recovered panic error, got (%v, %v)", res, err)
 	}
@@ -180,7 +180,7 @@ func TestPanicBoundaryRecoversToError(t *testing.T) {
 // aggressive-but-unreached watchdog settings yields identical output,
 // and the fingerprint ignores the watchdog entirely.
 func TestWatchdogExcludedFromFingerprintAndResults(t *testing.T) {
-	plain := singleSpec("gcc", tinyScale())
+	plain := singleSpec("gcc", unitScale())
 	guarded := plain
 	guarded.Watchdog = Watchdog{Timeout: time.Hour, StallCycles: 10_000_000}
 
